@@ -16,10 +16,9 @@
 //     this box almost never exceed a couple of ops, which is why the profile
 //     drives sizes explicitly.
 //
-// NOTE on hardware: the paper ran on 8 real cores.  This container has a
-// single CPU, so multi-worker rows here measure scheduling overhead under
-// time-slicing, not parallel speedup; the 1-worker BAT vs SEQ comparison
-// (the paper's overhead claim) is the meaningful real-hardware number, and
+// NOTE on hardware: the paper ran on 8 real cores.  Rows with more workers
+// than the host has hardware threads (printed in the header) measure
+// scheduling overhead under time-slicing, not parallel speedup;
 // bench_sim_fig5 reproduces the scaling shape on simulated processors.
 // Measured span is still meaningful at any worker count: the ledger folds
 // strand segments max-wise at joins, so the critical path of a divide-and-
@@ -173,8 +172,8 @@ int main() {
   bench::note("inserting %lld keys, %lld per operation record",
               static_cast<long long>(kInserts),
               static_cast<long long>(kPerRecord));
-  bench::note("host has %u hardware thread(s): multi-worker rows show "
-              "overhead under time-slicing; see FIG5-sim for scaling shape",
+  bench::note("host has %u hardware thread(s): rows with more workers "
+              "time-slice; see FIG5-sim for scaling shape",
               std::thread::hardware_concurrency());
   bench::Report report("fig5_skiplist");
   report.config("inserts", static_cast<std::uint64_t>(kInserts));

@@ -86,15 +86,43 @@ void BatchedSkipList::find_preds(Key key, Node** preds, Node** succs) const {
   }
 }
 
-BatchedSkipList::Node* BatchedSkipList::find_node(Key key) const {
-  Node* cur = head_;
-  for (int l = height_ - 1; l >= 0; --l) {
-    while (cur->next[l] != nullptr && cur->next[l]->key < key) {
-      cur = cur->next[l];
+void BatchedSkipList::find_preds_group(int n, const Key* keys,
+                                       Node** const* preds,
+                                       Node** const* succs) const {
+  // Per descent: `cur` is the predecessor found so far at `level` and `nxt`
+  // its successor there, already prefetched; level < 0 means done.
+  struct Descent {
+    Node* cur;
+    Node* nxt;
+    int level;
+  };
+  Descent d[kGroup] = {};
+  const int top = height_ - 1;
+  for (int i = 0; i < n; ++i) {
+    for (int l = kMaxHeight - 1; l > top; --l) {
+      preds[i][l] = head_;
+      if (succs != nullptr) succs[i][l] = head_->next[l];
+    }
+    d[i] = Descent{head_, head_->next[top], top};
+  }
+  for (int live = n; live > 0;) {
+    for (int i = 0; i < n; ++i) {
+      Descent& s = d[i];
+      if (s.level < 0) continue;
+      if (s.nxt != nullptr && s.nxt->key < keys[i]) {
+        s.cur = s.nxt;
+      } else {
+        preds[i][s.level] = s.cur;
+        if (succs != nullptr) succs[i][s.level] = s.nxt;
+        if (--s.level < 0) {
+          --live;
+          continue;
+        }
+      }
+      s.nxt = s.cur->next[s.level];
+      if (s.nxt != nullptr) __builtin_prefetch(s.nxt);
     }
   }
-  Node* candidate = cur->next[0];
-  return (candidate != nullptr && candidate->key == key) ? candidate : nullptr;
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +200,10 @@ bool BatchedSkipList::insert_unsafe(Key key) {
 }
 
 bool BatchedSkipList::contains_unsafe(Key key) const {
-  return find_node(key) != nullptr;
+  Node* preds[kMaxHeight];
+  find_preds(key, preds);
+  const Node* hit = preds[0]->next[0];
+  return hit != nullptr && hit->key == key;
 }
 
 bool BatchedSkipList::check_invariants() const {
@@ -227,47 +258,120 @@ void BatchedSkipList::run_batch(OpRecordBase* const* ops, std::size_t count) {
 }
 
 void BatchedSkipList::apply_reads(std::vector<Op*>& ops) {
+  const auto n = static_cast<std::int64_t>(ops.size());
   rt::parallel_for(
-      0, static_cast<std::int64_t>(ops.size()),
-      [&](std::int64_t i) {
-        Op* op = ops[static_cast<std::size_t>(i)];
-        switch (op->kind) {
-          case Kind::Contains:
-            op->found = (find_node(op->key) != nullptr);
-            break;
-          case Kind::Successor: {
-            // Descend to the predecessor of the probe, then step once.
-            const Node* cur = head_;
-            for (int l = height_ - 1; l >= 0; --l) {
-              while (cur->next[l] != nullptr && cur->next[l]->key < op->key) {
-                cur = cur->next[l];
+      0, (n + kGroup - 1) / kGroup,
+      [&](std::int64_t g) {
+        const std::int64_t lo = g * kGroup;
+        const int count =
+            static_cast<int>(std::min<std::int64_t>(kGroup, n - lo));
+        Op* const* group = &ops[static_cast<std::size_t>(lo)];
+        Key probes[kGroup] = {};
+        Node* pred_rows[kGroup][kMaxHeight];  // filled by find_preds_group
+        Node** preds[kGroup] = {};
+        for (int i = 0; i < count; ++i) {
+          probes[i] = group[i]->key;
+          preds[i] = pred_rows[i];
+        }
+        find_preds_group(count, probes, preds, nullptr);
+        for (int i = 0; i < count; ++i) {
+          Op* op = group[i];
+          // First node with key >= probe, on the pre-batch list.
+          const Node* succ = preds[i][0]->next[0];
+          switch (op->kind) {
+            case Kind::Contains:
+              op->found = succ != nullptr && succ->key == op->key;
+              break;
+            case Kind::Successor:
+              op->out_key = succ != nullptr ? std::optional<Key>(succ->key)
+                                            : std::nullopt;
+              break;
+            case Kind::RangeCount: {
+              std::int64_t c = 0;
+              for (const Node* it = succ; it != nullptr && it->key <= op->key2;
+                   it = it->next[0]) {
+                ++c;
               }
+              op->count = c;
+              break;
             }
-            const Node* succ = cur->next[0];
-            op->out_key = succ != nullptr ? std::optional<Key>(succ->key)
-                                          : std::nullopt;
-            break;
+            default:
+              break;
           }
-          case Kind::RangeCount: {
-            const Node* cur = head_;
-            for (int l = height_ - 1; l >= 0; --l) {
-              while (cur->next[l] != nullptr && cur->next[l]->key < op->key) {
-                cur = cur->next[l];
-              }
-            }
-            std::int64_t n = 0;
-            for (const Node* it = cur->next[0];
-                 it != nullptr && it->key <= op->key2; it = it->next[0]) {
-              ++n;
-            }
-            op->count = n;
-            break;
-          }
-          default:
-            break;
         }
       },
-      /*grain=*/8);
+      /*grain=*/1);
+}
+
+void BatchedSkipList::search_sorted(std::span<Op* const> ops,
+                                    const std::vector<TaggedKey>& keys,
+                                    bool inserting) {
+  // Scratch grows but is never pre-cleared: every slot a later pass reads —
+  // flags / victims for all keys, preds (and succs) for the distinct ones —
+  // is written here, including explicit zeros for duplicates and misses, so
+  // a serial O(n·lg n)-byte fill never lands on the critical path.
+  const std::size_t nk = keys.size();
+  if (pred_scratch_.size() < nk * kMaxHeight) {
+    pred_scratch_.resize(nk * kMaxHeight);
+  }
+  if (inserting) {
+    if (succ_scratch_.size() < nk * kMaxHeight) {
+      succ_scratch_.resize(nk * kMaxHeight);
+    }
+    if (flag_scratch_.size() < nk) flag_scratch_.resize(nk);
+  } else if (node_scratch_.size() < nk) {
+    node_scratch_.resize(nk);
+  }
+  const auto num_groups = static_cast<std::int64_t>((nk + kGroup - 1) / kGroup);
+  rt::parallel_for(
+      0, num_groups,
+      [&](std::int64_t g) {
+        const std::size_t lo = static_cast<std::size_t>(g) * kGroup;
+        const std::size_t hi = std::min(nk, lo + kGroup);
+        // Only the first occurrence of a key searches; the duplicate test
+        // looks at keys[idx - 1] even across a group boundary.
+        int n = 0;
+        std::size_t at[kGroup] = {};
+        Key probes[kGroup] = {};
+        Node** preds[kGroup] = {};
+        Node** succs[kGroup] = {};
+        for (std::size_t idx = lo; idx < hi; ++idx) {
+          const std::uint32_t src = keys[idx].ws;
+          Op* op = src < ops.size() ? ops[src] : nullptr;
+          if (idx > 0 && keys[idx].key == keys[idx - 1].key) {
+            if (op != nullptr) op->found = false;  // duplicate in the batch
+            if (inserting) {
+              flag_scratch_[idx] = 0;
+            } else {
+              node_scratch_[idx] = nullptr;
+            }
+            continue;
+          }
+          at[n] = idx;
+          probes[n] = keys[idx].key;
+          preds[n] = &pred_scratch_[idx * kMaxHeight];
+          if (inserting) succs[n] = &succ_scratch_[idx * kMaxHeight];
+          ++n;
+        }
+        find_preds_group(n, probes, preds, inserting ? succs : nullptr);
+        // The list is untouched until step 3, so preds[0]->next[0] is the
+        // exact pre-batch candidate.
+        for (int i = 0; i < n; ++i) {
+          const std::size_t idx = at[i];
+          const std::uint32_t src = keys[idx].ws;
+          Op* op = src < ops.size() ? ops[src] : nullptr;
+          Node* hit = preds[i][0]->next[0];
+          const bool present = hit != nullptr && hit->key == probes[i];
+          if (inserting) {
+            flag_scratch_[idx] = present ? 0 : 1;
+          } else {
+            node_scratch_[idx] = present ? hit : nullptr;
+          }
+          // An insert succeeds on a miss, an erase on a hit.
+          if (op != nullptr) op->found = inserting ? !present : present;
+        }
+      },
+      /*grain=*/1);
 }
 
 void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
@@ -277,27 +381,16 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
     keys[i] = TaggedKey{ops[i]->key, static_cast<std::uint32_t>(i)};
   }
   par::parallel_sort(keys.data(), static_cast<std::int64_t>(keys.size()));
+  search_sorted(ops, keys, /*inserting=*/false);
   if (apply_ == ApplyPolicy::Legacy) {
     apply_erases_legacy(ops, keys);
   } else {
-    apply_erases_sortmerge(ops, keys);
+    apply_erases_sortmerge(keys);
   }
 }
 
 void BatchedSkipList::apply_erases_legacy(
     std::vector<Op*>& ops, const std::vector<TaggedKey>& keys) {
-  // Parallel search for per-level predecessors of each distinct key.
-  const std::size_t nk = keys.size();
-  pred_scratch_.assign(nk * kMaxHeight, nullptr);
-  rt::parallel_for(
-      0, static_cast<std::int64_t>(nk),
-      [&](std::int64_t i) {
-        const auto idx = static_cast<std::size_t>(i);
-        if (idx > 0 && keys[idx].key == keys[idx - 1].key) return;  // dup
-        find_preds(keys[idx].key, &pred_scratch_[idx * kMaxHeight]);
-      },
-      /*grain=*/8);
-
   // Sequential unlink in ascending key order.  A recorded predecessor may
   // itself have been erased earlier in this phase; updating its pointers
   // would leave the victim linked in the live chain.  `finger[l]` tracks the
@@ -305,7 +398,7 @@ void BatchedSkipList::apply_erases_legacy(
   // move forward), and a dead recorded predecessor falls back to it.
   Node* finger[kMaxHeight];
   for (int l = 0; l < kMaxHeight; ++l) finger[l] = head_;
-  for (std::size_t i = 0; i < nk; ++i) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
     Op* op = ops[keys[i].ws];
     if (i > 0 && keys[i].key == keys[i - 1].key) {
       op->found = false;  // duplicate erase in the same batch loses
@@ -349,41 +442,10 @@ void BatchedSkipList::apply_erases_legacy(
 }
 
 void BatchedSkipList::apply_erases_sortmerge(
-    std::vector<Op*>& ops, const std::vector<TaggedKey>& keys) {
-  // Search phase (read-only): per-level predecessors plus the victim node
-  // for the first op on each distinct key.  Searches run before any unlink,
-  // so preds[0]->next[0] is the exact pre-batch candidate.
-  // Scratch grows but is never pre-cleared: every slot the later passes read
-  // is written here (including explicit nulls for duplicates and misses), so
-  // a serial O(n·lg n)-byte fill never lands on the critical path.
+    const std::vector<TaggedKey>& keys) {
+  // search_sorted left each distinct key's predecessors in pred_scratch_ and
+  // its victim (or null) in node_scratch_.
   const std::size_t nk = keys.size();
-  if (pred_scratch_.size() < nk * kMaxHeight) {
-    pred_scratch_.resize(nk * kMaxHeight);
-  }
-  if (node_scratch_.size() < nk) node_scratch_.resize(nk);
-  rt::parallel_for(
-      0, static_cast<std::int64_t>(nk),
-      [&](std::int64_t i) {
-        const auto idx = static_cast<std::size_t>(i);
-        Op* op = ops[keys[idx].ws];
-        if (idx > 0 && keys[idx].key == keys[idx - 1].key) {
-          op->found = false;  // duplicate erase in the same batch loses
-          node_scratch_[idx] = nullptr;
-          return;
-        }
-        Node** preds = &pred_scratch_[idx * kMaxHeight];
-        find_preds(keys[idx].key, preds);
-        Node* hit = preds[0]->next[0];
-        if (hit != nullptr && hit->key == keys[idx].key) {
-          node_scratch_[idx] = hit;
-          op->found = true;
-        } else {
-          node_scratch_[idx] = nullptr;
-          op->found = false;
-        }
-      },
-      /*grain=*/8);
-
   const std::int64_t m = par::pack_indices(
       static_cast<std::int64_t>(nk),
       [&](std::int64_t i) {
@@ -510,30 +572,20 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
   // Step 1 (sort).
   par::parallel_sort(keys.data(), static_cast<std::int64_t>(keys.size()));
 
+  // Step 2 (search).  Record s < single.size() is single[s]; MultiInsert
+  // payload keys have no per-key result.
+  search_sorted(single, keys, /*inserting=*/true);
+
   if (apply_ == ApplyPolicy::Legacy) {
-    apply_inserts_legacy(single, multi, keys);
+    apply_inserts_legacy(single, keys);
   } else {
-    apply_inserts_sortmerge(single, multi, keys);
+    apply_inserts_sortmerge(keys);
   }
 }
 
 void BatchedSkipList::apply_inserts_legacy(
-    const std::vector<Op*>& single, const std::vector<Op*>& multi,
-    const std::vector<TaggedKey>& keys) {
-  (void)multi;
-  // Step 2 (parallel search): per-level predecessors for the first
-  // occurrence of every distinct key.
+    const std::vector<Op*>& single, const std::vector<TaggedKey>& keys) {
   const std::size_t nk = keys.size();
-  pred_scratch_.assign(nk * kMaxHeight, nullptr);
-  rt::parallel_for(
-      0, static_cast<std::int64_t>(nk),
-      [&](std::int64_t i) {
-        const auto idx = static_cast<std::size_t>(i);
-        if (idx > 0 && keys[idx].key == keys[idx - 1].key) return;  // dup
-        find_preds(keys[idx].key, &pred_scratch_[idx * kMaxHeight]);
-      },
-      /*grain=*/8);
-
   // Step 3 (sequential splice), ascending.  For each level, the true
   // predecessor is whichever is later of (a) the recorded pre-batch
   // predecessor and (b) the most recently spliced new node reaching that
@@ -581,45 +633,12 @@ void BatchedSkipList::apply_inserts_legacy(
 }
 
 void BatchedSkipList::apply_inserts_sortmerge(
-    const std::vector<Op*>& single, const std::vector<Op*>& multi,
     const std::vector<TaggedKey>& keys) {
-  (void)multi;
-  // Step 2 (parallel search): per-level predecessors *and* their pre-batch
-  // successors for the first occurrence of every distinct key, plus the
-  // presence test.  The list is untouched until the splice, so
-  // preds[0]->next[0] is exact and no re-walk is needed.
-  // Scratch grows but is never pre-cleared (see apply_erases_sortmerge):
-  // every slot read downstream — flags for all records, preds/succs for the
-  // packed fresh records — is written by this pass.
+  // search_sorted left each distinct key's predecessors and their pre-batch
+  // successors in pred/succ_scratch_ and a fresh flag for every key in
+  // flag_scratch_.  The list is untouched until the splice, so the
+  // successors are exact and no re-walk is needed.
   const std::size_t nk = keys.size();
-  if (pred_scratch_.size() < nk * kMaxHeight) {
-    pred_scratch_.resize(nk * kMaxHeight);
-  }
-  if (succ_scratch_.size() < nk * kMaxHeight) {
-    succ_scratch_.resize(nk * kMaxHeight);
-  }
-  if (flag_scratch_.size() < nk) flag_scratch_.resize(nk);
-  rt::parallel_for(
-      0, static_cast<std::int64_t>(nk),
-      [&](std::int64_t i) {
-        const auto idx = static_cast<std::size_t>(i);
-        const std::uint32_t src = keys[idx].ws;
-        Op* op = src < single.size() ? single[src] : nullptr;
-        if (idx > 0 && keys[idx].key == keys[idx - 1].key) {
-          if (op != nullptr) op->found = false;  // duplicate within batch
-          flag_scratch_[idx] = 0;
-          return;
-        }
-        Node** preds = &pred_scratch_[idx * kMaxHeight];
-        Node** succs = &succ_scratch_[idx * kMaxHeight];
-        find_preds(keys[idx].key, preds, succs);
-        Node* hit = succs[0];
-        const bool present = hit != nullptr && hit->key == keys[idx].key;
-        flag_scratch_[idx] = present ? 0 : 1;
-        if (op != nullptr) op->found = !present;
-      },
-      /*grain=*/8);
-
   const std::int64_t m = par::pack_indices(
       static_cast<std::int64_t>(nk),
       [&](std::int64_t i) {

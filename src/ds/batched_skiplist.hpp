@@ -5,7 +5,13 @@
 //   1. gather the batch's keys (parallel, offsets via prefix sums) and sort
 //      them (parallel merge sort);
 //   2. search the main list for every key's per-level predecessors and
-//      successors (read-only, embarrassingly parallel);
+//      successors, in interleaved groups of 8 (kGroup) consecutive sorted
+//      keys.  The searches are read-only and independent, but each is a
+//      chain of dependent loads through a list far larger than the cache, so
+//      a lone descent mostly waits on misses.  One task advances its group's
+//      descents round-robin, a node step each, prefetching the node every
+//      descent reads next, so the group's misses overlap instead of queuing;
+//      groups run in parallel;
 //   3. splice the new nodes into the main list.
 //
 // Step 3 comes in two selectable flavours (ApplyPolicy):
@@ -104,6 +110,11 @@ class BatchedSkipList final : public BatchedStructure {
 
  private:
   static constexpr int kMaxHeight = 24;
+  // Descents interleaved by find_preds_group.  The useful depth is how many
+  // misses one core keeps in flight, a property of the memory system, not
+  // of the workload, so it is a constant.  Sixteen measured within noise of
+  // eight (DESIGN.md §16).
+  static constexpr int kGroup = 8;
 
   struct Node {
     Key key;
@@ -123,23 +134,33 @@ class BatchedSkipList final : public BatchedStructure {
   // filled with head_.  `preds` must have room for kMaxHeight entries.  If
   // `succs` is non-null it receives each predecessor's pre-batch level-l
   // successor (preds[l]->next[l] at search time).
+  // Scalar form, for the unsafe API only; every BOP search goes through
+  // find_preds_group.
   void find_preds(Key key, Node** preds, Node** succs = nullptr) const;
-  Node* find_node(Key key) const;  // level-0 node with exact key, or nullptr
+  // find_preds for n <= kGroup keys at once: descent i fills preds[i] (and
+  // succs[i] if `succs` is non-null).  The descents advance round-robin one
+  // node step at a time, each step prefetching the node its descent reads
+  // next, so their cache and TLB misses overlap.
+  void find_preds_group(int n, const Key* keys, Node** const* preds,
+                        Node** const* succs) const;
+  // Step 2 for a sorted insert (`inserting`) or erase batch, shared by both
+  // apply policies: per-level predecessors of the first occurrence of each
+  // distinct key, plus its result.  `ops[keys[i].ws]` is the record owning
+  // key i (none for ws >= ops.size(), i.e. MultiInsert payload keys).
+  void search_sorted(std::span<Op* const> ops,
+                     const std::vector<prep::Tagged<Key>>& keys,
+                     bool inserting);
 
   void apply_reads(std::vector<Op*>& ops);
   void apply_erases(std::vector<Op*>& ops);
   void apply_erases_legacy(std::vector<Op*>& ops,
                            const std::vector<prep::Tagged<Key>>& keys);
-  void apply_erases_sortmerge(std::vector<Op*>& ops,
-                              const std::vector<prep::Tagged<Key>>& keys);
+  void apply_erases_sortmerge(const std::vector<prep::Tagged<Key>>& keys);
   void apply_inserts(const std::vector<Op*>& single,
                      const std::vector<Op*>& multi);
   void apply_inserts_legacy(const std::vector<Op*>& single,
-                            const std::vector<Op*>& multi,
                             const std::vector<prep::Tagged<Key>>& keys);
-  void apply_inserts_sortmerge(const std::vector<Op*>& single,
-                               const std::vector<Op*>& multi,
-                               const std::vector<prep::Tagged<Key>>& keys);
+  void apply_inserts_sortmerge(const std::vector<prep::Tagged<Key>>& keys);
 
   Node* head_;
   int height_ = 1;     // number of levels currently in use

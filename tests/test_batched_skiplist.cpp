@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <optional>
 #include <set>
 #include <vector>
 
@@ -287,6 +288,243 @@ TEST(BatchedSkipList, EraseEverythingThenReinsert) {
   EXPECT_EQ(list.size_unsafe(), 200u);
   EXPECT_TRUE(list.check_invariants());
 }
+
+// ---------------------------------------------------------------------------
+// Interleaved search groups.  The BOP searches a phase's sorted keys in
+// groups of 8 consecutive keys, and reads in groups of 8 records.  These
+// batches sit around the group edges (1, 7, 8, 9, 15, 16, 17 and 150
+// records), run through run_batch at P = 1..4, and are checked against a
+// std::set model of the documented phase order: reads see the pre-batch
+// set, then erases, then inserts, the first record winning on a duplicate
+// key (a single Insert before any MultiInsert payload).
+// ---------------------------------------------------------------------------
+
+using Kind = BatchedSkipList::Kind;
+
+constexpr std::size_t kGroupEdgeSizes[] = {1, 7, 8, 9, 15, 16, 17, 150};
+
+struct Rec {
+  Kind kind = Kind::Insert;
+  Key key = 0;
+  Key key2 = 0;
+  std::vector<Key> multi;  // MultiInsert payload
+};
+
+struct Expected {
+  bool found = false;
+  std::int64_t count = 0;
+  std::optional<Key> out_key;
+};
+
+std::vector<Expected> model_batch(std::set<Key>& set,
+                                  const std::vector<Rec>& recs) {
+  std::vector<Expected> exp(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    const Rec& r = recs[i];
+    const auto succ = set.lower_bound(r.key);
+    if (r.kind == Kind::Contains) exp[i].found = set.count(r.key) > 0;
+    if (r.kind == Kind::Successor && succ != set.end()) exp[i].out_key = *succ;
+    if (r.kind == Kind::RangeCount) {
+      for (auto it = succ; it != set.end() && *it <= r.key2; ++it) {
+        ++exp[i].count;
+      }
+    }
+  }
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].kind == Kind::Erase) exp[i].found = set.erase(recs[i].key) > 0;
+  }
+  const std::set<Key> pre_insert = set;
+  std::set<Key> claimed;
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    if (recs[i].kind == Kind::Insert) {
+      exp[i].found = claimed.insert(recs[i].key).second &&
+                     pre_insert.count(recs[i].key) == 0;
+      set.insert(recs[i].key);
+    } else if (recs[i].kind == Kind::MultiInsert) {
+      set.insert(recs[i].multi.begin(), recs[i].multi.end());
+    }
+  }
+  return exp;
+}
+
+// Runs one batch on `list` inside `sched` and checks every record's result,
+// the structure's invariants and its size against the model.
+void run_and_check(rt::Scheduler& sched, BatchedSkipList& list,
+                   std::set<Key>& model, const std::vector<Rec>& recs) {
+  const std::vector<Expected> exp = model_batch(model, recs);
+  std::vector<BatchedSkipList::Op> ops(recs.size());
+  std::vector<OpRecordBase*> ptrs(recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    ops[i].kind = recs[i].kind;
+    ops[i].key = recs[i].key;
+    ops[i].key2 = recs[i].key2;
+    ops[i].keys = recs[i].multi.data();
+    ops[i].num_keys = recs[i].multi.size();
+    ptrs[i] = &ops[i];
+  }
+  sched.run([&] { list.run_batch(ptrs.data(), ptrs.size()); });
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    switch (recs[i].kind) {
+      case Kind::MultiInsert:
+        break;  // no per-record result
+      case Kind::Successor:
+        ASSERT_EQ(ops[i].out_key, exp[i].out_key) << "record " << i;
+        break;
+      case Kind::RangeCount:
+        ASSERT_EQ(ops[i].count, exp[i].count) << "record " << i;
+        break;
+      default:
+        ASSERT_EQ(ops[i].found, exp[i].found)
+            << "record " << i << " key " << recs[i].key;
+        break;
+    }
+  }
+  ASSERT_TRUE(list.check_invariants());
+  ASSERT_EQ(list.size_unsafe(), model.size());
+}
+
+// A key on a grid of 10s (so probes between keys are meaningful), or, one
+// time in eight, just outside the model's current [min, max].
+Key draw_key(Xoshiro256& rng, const std::set<Key>& model, std::int64_t span) {
+  const std::uint64_t pick = rng.next_below(16);
+  if (pick == 0) {
+    return (model.empty() ? 0 : *model.begin()) - 1 -
+           static_cast<Key>(rng.next_below(20));
+  }
+  if (pick == 1) {
+    return (model.empty() ? 10 * span : *model.rbegin()) + 1 +
+           static_cast<Key>(rng.next_below(20));
+  }
+  return static_cast<Key>(rng.next_below(static_cast<std::uint64_t>(span))) *
+         10;
+}
+
+std::vector<Rec> random_batch(Xoshiro256& rng, const std::set<Key>& model,
+                              std::size_t n) {
+  // About one distinct key per record, so duplicates are common.
+  const auto span = static_cast<std::int64_t>(n) + 4;
+  std::vector<Rec> recs(n);
+  for (Rec& r : recs) {
+    r.key = draw_key(rng, model, span);
+    const std::uint64_t pick = rng.next_below(10);
+    if (pick < 3) {
+      r.kind = Kind::Insert;
+    } else if (pick < 5) {
+      r.kind = Kind::MultiInsert;
+      r.multi.resize(1 + rng.next_below(4));
+      for (Key& k : r.multi) k = draw_key(rng, model, span);
+    } else if (pick < 7) {
+      r.kind = Kind::Erase;
+    } else if (pick < 8) {
+      r.kind = Kind::Contains;
+    } else if (pick < 9) {
+      r.kind = Kind::Successor;
+      r.key += static_cast<Key>(rng.next_below(15)) - 7;  // off-grid probes
+    } else {
+      r.kind = Kind::RangeCount;
+      r.key2 = r.key + static_cast<Key>(rng.next_below(80));
+    }
+  }
+  return recs;
+}
+
+class SkipListGroupParam : public ::testing::TestWithParam<unsigned> {};
+
+TEST_P(SkipListGroupParam, MixedBatchesAroundGroupEdgesMatchSetModel) {
+  rt::Scheduler sched(GetParam());
+  for (const std::size_t n : kGroupEdgeSizes) {
+    SCOPED_TRACE(testing::Message() << "batch size " << n);
+    Xoshiro256 rng(1000 + n);
+    BatchedSkipList list(sched, n);
+    std::set<Key> model;  // every size starts from an empty list
+    for (int round = 0; round < 40; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      ASSERT_NO_FATAL_FAILURE(
+          run_and_check(sched, list, model, random_batch(rng, model, n)));
+    }
+  }
+}
+
+// Sorted keys k0 < k1 < ... laid out so that every group of 8 after the
+// first opens with a second copy of the previous group's last key.
+std::vector<Key> keys_with_group_opening_duplicates(std::size_t n, Key base) {
+  std::vector<Key> keys;
+  Key next = base;
+  for (std::size_t i = 0; i < n; ++i) {
+    keys.push_back(i > 0 && i % 8 == 0 ? keys.back() : next);
+    next += 10;
+  }
+  return keys;
+}
+
+TEST_P(SkipListGroupParam, DuplicateOpeningAGroupIsResolvedOnce) {
+  rt::Scheduler sched(GetParam());
+  for (const std::size_t n : kGroupEdgeSizes) {
+    SCOPED_TRACE(testing::Message() << "batch size " << n);
+    Xoshiro256 rng(n);
+    BatchedSkipList list(sched, n);
+    std::set<Key> model;
+    const std::vector<Key> keys = keys_with_group_opening_duplicates(n, 0);
+    // Insert phase on an empty list, records in shuffled order.
+    std::vector<Rec> recs(n);
+    for (std::size_t i = 0; i < n; ++i) recs[i].key = keys[i];
+    for (std::size_t i = n; i > 1; --i) {
+      std::swap(recs[i - 1], recs[rng.next_below(i)]);
+    }
+    ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, recs));
+    // The same pattern split across records: each group-opening copy is a
+    // single Insert, which sorts ahead of (and wins over) its MultiInsert
+    // twin, so the payload copy is the one opening the group.
+    std::vector<Rec> mixed(1);
+    mixed[0].kind = Kind::MultiInsert;
+    const std::vector<Key> shifted = keys_with_group_opening_duplicates(n, 5);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && i % 8 == 0) {
+        mixed.push_back(Rec{Kind::Insert, shifted[i], 0, {}});
+      } else {
+        mixed[0].multi.push_back(shifted[i]);
+      }
+    }
+    ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, mixed));
+    for (Rec& r : recs) r.kind = Kind::Erase;
+    ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, recs));
+  }
+}
+
+TEST_P(SkipListGroupParam, BatchRaisingTheHeightSearchesFromTheNewTop) {
+  rt::Scheduler sched(GetParam());
+  BatchedSkipList list(sched, 3);
+  std::set<Key> model;
+  // Reads, erases and inserts against the empty list first.
+  constexpr Kind kKinds[] = {Kind::Insert,   Kind::MultiInsert,
+                             Kind::Contains, Kind::Erase,
+                             Kind::Successor, Kind::RangeCount};
+  std::vector<Rec> empty_batch(9);
+  for (std::size_t i = 0; i < empty_batch.size(); ++i) {
+    empty_batch[i].kind = kKinds[i % 6];
+    empty_batch[i].key = static_cast<Key>(i) * 10 - 40;
+    empty_batch[i].key2 = empty_batch[i].key + 100;
+    if (empty_batch[i].kind == Kind::MultiInsert) {
+      empty_batch[i].multi = {-7, 7};
+    }
+  }
+  ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, empty_batch));
+  const int before = list.height_unsafe();
+  std::vector<Rec> grow(150);
+  for (std::size_t i = 0; i < grow.size(); ++i) {
+    grow[i].key = static_cast<Key>(i) * 10 + 1000;
+  }
+  ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, grow));
+  ASSERT_GT(list.height_unsafe(), before);
+  Xoshiro256 rng(3);
+  for (int round = 0; round < 20; ++round) {
+    ASSERT_NO_FATAL_FAILURE(
+        run_and_check(sched, list, model, random_batch(rng, model, 150)));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Workers, SkipListGroupParam,
+                         ::testing::Values(1u, 2u, 3u, 4u));
 
 }  // namespace
 }  // namespace batcher::ds
