@@ -6,15 +6,12 @@
 // the insertion of `kInserts` further elements; each BATCHIFY call carries
 // 100 insertion records (the paper's trick for simulating bigger batches).
 //
-// Two additions over the paper's figure:
-//   * every BAT lane runs twice, once per ApplyPolicy (sort-merge splice vs
-//     the legacy sequential splice), as the s(n) ablation A/B;
-//   * a span-profile section drives run_batch directly at controlled batch
-//     sizes and books each call into the bound ledger, so the report carries
-//     per-size s(n) histograms for both policies (`span_growth/<label>` is
-//     synthesized from them by tools/bench_compare.py).  Organic batches on
-//     this box almost never exceed a couple of ops, which is why the profile
-//     drives sizes explicitly.
+// One addition over the paper's figure: a span-profile section drives
+// run_batch directly at controlled batch sizes and books each call into the
+// bound ledger, so the report carries per-size s(n) histograms for the
+// sort-merge BOP (`span_growth/skiplist_sortmerge` is synthesized from them
+// by tools/bench_compare.py).  Organic batches almost never exceed a couple
+// of ops, which is why the profile drives sizes explicitly.
 //
 // NOTE on hardware: the paper ran on 8 real cores.  Rows with more workers
 // than the host has hardware threads (printed in the header) measure
@@ -37,17 +34,12 @@
 namespace {
 
 using batcher::Stopwatch;
-using batcher::ds::ApplyPolicy;
 using batcher::ds::BatchedSkipList;
 namespace bench = batcher::bench;
 
 const std::int64_t kInserts =
     bench::scaled(100000, 10000);           // paper: 100,000
 constexpr std::int64_t kPerRecord = 100;    // paper: 100 records per BATCHIFY
-
-const char* policy_name(ApplyPolicy p) {
-  return p == ApplyPolicy::SortMerge ? "sortmerge" : "legacy";
-}
 
 double run_sequential(std::int64_t initial, std::uint64_t seed) {
   batcher::conc::SeqSkipList list(seed);
@@ -67,10 +59,8 @@ struct BatResult {
 };
 
 BatResult run_batcher(std::int64_t initial, unsigned workers,
-                      ApplyPolicy apply, std::uint64_t seed,
-                      bench::Report& report) {
-  const std::string label = std::string("BAT/apply=") + policy_name(apply) +
-                            "/initial=" + std::to_string(initial) +
+                      std::uint64_t seed, bench::Report& report) {
+  const std::string label = "BAT/initial=" + std::to_string(initial) +
                             "/P=" + std::to_string(workers);
   // Scheduler stats come from the destructor-time snapshot: that is the
   // flushed quiescent point at which the frame-pool identities the report
@@ -80,7 +70,7 @@ BatResult run_batcher(std::int64_t initial, unsigned workers,
   {
     batcher::rt::Scheduler sched(workers);
     sched.export_final_stats(&final_stats);
-    BatchedSkipList list(sched, seed, batcher::Batcher::kDefaultSetup, apply);
+    BatchedSkipList list(sched, seed);
     const auto init_keys =
         bench::random_keys(static_cast<std::size_t>(initial), seed + 1);
     for (auto k : init_keys) list.insert_unsafe(k);
@@ -110,9 +100,8 @@ BatResult run_batcher(std::int64_t initial, unsigned workers,
 // Drives `list.run_batch` directly (bypassing the launcher) at controlled
 // batch sizes, booking every invocation into the bound ledger under the
 // list's trace domain.  Each size does an insert round with fresh keys and
-// an erase round over those same keys, so both rewritten passes are
-// measured.  Returns nothing: the evidence lands in the report's
-// bound_ledger section.
+// an erase round over those same keys, so both splice passes are measured.
+// Returns nothing: the evidence lands in the report's bound_ledger section.
 void span_profile(batcher::rt::Scheduler& sched, BatchedSkipList& list,
                   std::uint64_t seed) {
   constexpr std::size_t kProfileSizes[] = {1, 4, 16, 64, 4096};
@@ -185,50 +174,35 @@ int main() {
   // recycled on unregister, so this ordering pins their ledger domains (and
   // the labels attached to them) for the whole run.
   batcher::rt::Scheduler profile_sched(1);
-  BatchedSkipList profile_legacy(profile_sched, 17,
-                                 batcher::Batcher::kDefaultSetup,
-                                 ApplyPolicy::Legacy);
-  BatchedSkipList profile_sortmerge(profile_sched, 17,
-                                    batcher::Batcher::kDefaultSetup,
-                                    ApplyPolicy::SortMerge);
-  report.domain_label(profile_legacy.batcher().trace_id(), "skiplist_legacy");
-  report.domain_label(profile_sortmerge.batcher().trace_id(),
-                      "skiplist_sortmerge");
+  BatchedSkipList profile(profile_sched, 17);
+  report.domain_label(profile.batcher().trace_id(), "skiplist_sortmerge");
   if (batcher::trace::enabled()) {
     bench::note("span profile: directly driven batches of size 1..4096, "
-                "insert+erase, both apply policies -> bound_ledger");
-    span_profile(profile_sched, profile_legacy, 17);
-    span_profile(profile_sched, profile_sortmerge, 17);
+                "insert+erase -> bound_ledger");
+    span_profile(profile_sched, profile, 17);
   }
 
-  bench::row("%-10s %-14s %-8s %12s %12s", "initial", "variant", "workers",
+  bench::row("%-10s %-8s %-8s %12s %12s", "initial", "variant", "workers",
              "Minserts/s", "mean batch");
 
-  const std::int64_t full_sizes[] = {20000, 100000, 1000000};
-  const std::int64_t smoke_sizes[] = {2000, 10000, 10000};
-  for (int s = 0; s < 3; ++s) {
-    const std::int64_t initial =
-        bench::smoke() ? smoke_sizes[s] : full_sizes[s];
+  const std::vector<std::int64_t> sizes =
+      bench::smoke() ? std::vector<std::int64_t>{2000, 10000}
+                     : std::vector<std::int64_t>{20000, 100000, 1000000};
+  for (const std::int64_t initial : sizes) {
     const double seq_secs = run_sequential(initial, 42);
-    bench::row("%-10lld %-14s %-8d %12.3f %12s",
+    bench::row("%-10lld %-8s %-8d %12.3f %12s",
                static_cast<long long>(initial), "SEQ", 1,
                bench::mops(kInserts, seq_secs), "-");
     report.metric("minserts_per_s/SEQ/initial=" + std::to_string(initial),
                   bench::mops(kInserts, seq_secs) * 1e6, "1/s");
     for (unsigned workers : {1u, 2u, 4u, 8u}) {
-      for (ApplyPolicy apply :
-           {ApplyPolicy::SortMerge, ApplyPolicy::Legacy}) {
-        const BatResult r = run_batcher(initial, workers, apply, 42, report);
-        const std::string variant =
-            apply == ApplyPolicy::SortMerge ? "BAT" : "BAT-legacy";
-        bench::row("%-10lld %-14s %-8u %12.3f %12.2f",
-                   static_cast<long long>(initial), variant.c_str(), workers,
-                   bench::mops(kInserts, r.seconds), r.mean_batch);
-        report.metric("minserts_per_s/" + variant + "/initial=" +
-                          std::to_string(initial) +
-                          "/P=" + std::to_string(workers),
-                      bench::mops(kInserts, r.seconds) * 1e6, "1/s");
-      }
+      const BatResult r = run_batcher(initial, workers, 42, report);
+      bench::row("%-10lld %-8s %-8u %12.3f %12.2f",
+                 static_cast<long long>(initial), "BAT", workers,
+                 bench::mops(kInserts, r.seconds), r.mean_batch);
+      report.metric("minserts_per_s/BAT/initial=" + std::to_string(initial) +
+                        "/P=" + std::to_string(workers),
+                    bench::mops(kInserts, r.seconds) * 1e6, "1/s");
     }
   }
   report.write();

@@ -2,11 +2,10 @@
 // batched 2-3 tree, with the Θ(n lg n / P) optimality check and the
 // simulated speedup curve.
 //
-// The weight-balanced tree lanes run twice, once per ApplyPolicy (bulk
-// sort-merge insert vs the legacy build+union path), and a span-profile
-// section drives run_batch directly at controlled batch sizes so the report
-// carries per-size s(n) histograms for both policies (gated downstream as
-// span_growth/wbtree_*).
+// The batched weight-balanced tree runs the same lanes, and a span-profile
+// section drives its run_batch directly at controlled batch sizes so the
+// report carries per-size s(n) histograms of its sort-merge BOP (gated
+// downstream as span_growth/wbtree_sortmerge).
 #include <cmath>
 #include <cstdio>
 #include <set>
@@ -24,14 +23,9 @@
 namespace {
 namespace bench = batcher::bench;
 using batcher::Stopwatch;
-using batcher::ds::ApplyPolicy;
 using batcher::ds::BatchedWBTree;
 
 const std::int64_t kN = bench::scaled(100000, 10000);
-
-const char* policy_name(ApplyPolicy p) {
-  return p == ApplyPolicy::SortMerge ? "sortmerge" : "legacy";
-}
 
 double run_batched_tree(unsigned workers, double* mean_batch,
                         bench::Report& report) {
@@ -52,10 +46,10 @@ double run_batched_tree(unsigned workers, double* mean_batch,
   return secs;
 }
 
-double run_batched_wbtree(unsigned workers, ApplyPolicy apply,
-                          double* mean_batch, bench::Report& report) {
+double run_batched_wbtree(unsigned workers, double* mean_batch,
+                          bench::Report& report) {
   batcher::rt::Scheduler sched(workers);
-  BatchedWBTree tree(sched, batcher::Batcher::kDefaultSetup, apply);
+  BatchedWBTree tree(sched);
   const auto keys = bench::random_keys(kN, 5);
   Stopwatch sw;
   sched.run([&] {
@@ -66,9 +60,7 @@ double run_batched_wbtree(unsigned workers, ApplyPolicy apply,
   });
   const double secs = sw.elapsed_seconds();
   const batcher::BatcherStats stats = tree.batcher().stats();
-  report.batcher_stats(std::string("BATCHED-WB/apply=") + policy_name(apply) +
-                           "/P=" + std::to_string(workers),
-                       stats);
+  report.batcher_stats("BATCHED-WB/P=" + std::to_string(workers), stats);
   *mean_batch = stats.mean_batch_size();
   return secs;
 }
@@ -150,19 +142,12 @@ int main() {
   // report.write() so their recycled-on-unregister trace domain ids (and the
   // labels bound to them) stay stable.
   batcher::rt::Scheduler profile_sched(1);
-  BatchedWBTree profile_legacy(profile_sched, batcher::Batcher::kDefaultSetup,
-                               ApplyPolicy::Legacy);
-  BatchedWBTree profile_sortmerge(profile_sched,
-                                  batcher::Batcher::kDefaultSetup,
-                                  ApplyPolicy::SortMerge);
-  report.domain_label(profile_legacy.batcher().trace_id(), "wbtree_legacy");
-  report.domain_label(profile_sortmerge.batcher().trace_id(),
-                      "wbtree_sortmerge");
+  BatchedWBTree profile(profile_sched);
+  report.domain_label(profile.batcher().trace_id(), "wbtree_sortmerge");
   if (batcher::trace::enabled()) {
     bench::note("span profile: directly driven batches of size 1..4096, "
-                "insert+erase, both apply policies -> bound_ledger");
-    span_profile(profile_sched, profile_legacy, 23);
-    span_profile(profile_sched, profile_sortmerge, 23);
+                "insert+erase -> bound_ledger");
+    span_profile(profile_sched, profile, 23);
   }
 
   bench::row("%-6s %-18s %12s %12s", "P", "variant", "Mins/s", "mean batch");
@@ -179,18 +164,12 @@ int main() {
                bench::mops(kN, secs), mean_batch);
     report.metric("mins_per_s/BATCHED-2-3/P=" + std::to_string(p),
                   bench::mops(kN, secs) * 1e6, "1/s");
-    for (ApplyPolicy apply : {ApplyPolicy::SortMerge, ApplyPolicy::Legacy}) {
-      double wb_mean_batch = 0;
-      const double wb_secs =
-          run_batched_wbtree(p, apply, &wb_mean_batch, report);
-      const std::string variant = apply == ApplyPolicy::SortMerge
-                                      ? "BATCHED-WB"
-                                      : "BATCHED-WB-legacy";
-      bench::row("%-6u %-18s %12.3f %12.2f", p, variant.c_str(),
-                 bench::mops(kN, wb_secs), wb_mean_batch);
-      report.metric("mins_per_s/" + variant + "/P=" + std::to_string(p),
-                    bench::mops(kN, wb_secs) * 1e6, "1/s");
-    }
+    double wb_mean_batch = 0;
+    const double wb_secs = run_batched_wbtree(p, &wb_mean_batch, report);
+    bench::row("%-6u %-18s %12.3f %12.2f", p, "BATCHED-WB",
+               bench::mops(kN, wb_secs), wb_mean_batch);
+    report.metric("mins_per_s/BATCHED-WB/P=" + std::to_string(p),
+                  bench::mops(kN, wb_secs) * 1e6, "1/s");
   }
 
   bench::note("simulated processors: makespan vs the Theta(n lg n / P) "

@@ -164,7 +164,9 @@ class ExternalDomain {
   // `max_threads` bounds the number of external threads that may submit
   // concurrently; thread `tid` must be in [0, max_threads).  `gate` is the
   // parking gate of the front-end whose pumps serve this domain (null for a
-  // domain pumped by its own serve()).
+  // domain pumped by its own serve()).  Throws std::invalid_argument if
+  // `max_threads` is 0: such a domain could never accept a submission, and
+  // the pump's slot scan divides by it.
   ExternalDomain(rt::Scheduler& sched, BatchedStructure& ds,
                  std::size_t max_threads, Options options,
                  PumpGate* gate = nullptr)
@@ -175,7 +177,7 @@ class ExternalDomain {
                                           : sched.num_workers()),
         shed_threshold_(options.shed_threshold),
         stall_probe_(std::move(options.stall_probe)),
-        slots_(max_threads),
+        slots_(checked_max_threads(max_threads)),
         trace_id_(trace::register_domain(this)) {
     // Reserve both pump scratch vectors up front: serve() must not allocate
     // (and so must not throw) between claiming slots and completing them.
@@ -455,6 +457,16 @@ class ExternalDomain {
     std::atomic<std::uint8_t> status{kFree};
     OpRecordBase* op = nullptr;
   };
+
+  // Always checked, like `tid` in submit_impl.  Runs in the initializer list
+  // so a throw precedes the trace-domain registration.
+  static std::size_t checked_max_threads(std::size_t max_threads) {
+    if (max_threads == 0) {
+      throw std::invalid_argument(
+          "batcher: external domain needs max_threads >= 1");
+    }
+    return max_threads;
+  }
 
   void submit_impl(std::size_t tid, OpRecordBase& op, bool has_deadline,
                    Clock::time_point deadline) {

@@ -1,6 +1,6 @@
 // Shared batch-prep layer for the sort-merge BOPs (DESIGN.md §16).
 //
-// Every rewritten structure (skip list, weight-balanced tree, hash map) runs
+// Every sort-merge structure (skip list, weight-balanced tree, hash map) runs
 // the same prefix of phases on its working set:
 //
 //   gather  — copy each op's key(s) into a flat record array; variable
@@ -31,11 +31,6 @@
 #include "runtime/api.hpp"
 
 namespace batcher::ds {
-
-// Which BOP apply implementation a structure uses.  SortMerge is the default;
-// Legacy keeps the pre-rewrite serial-splice/apply paths selectable for the
-// A/B ablation lanes (same pattern as Batcher::SetupPolicy scan-vs-announce).
-enum class ApplyPolicy : std::uint8_t { Legacy, SortMerge };
 
 namespace prep {
 

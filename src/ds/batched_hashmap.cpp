@@ -21,9 +21,8 @@ std::uint64_t mix(std::uint64_t x) {
 }
 }  // namespace
 
-BatchedHashMap::BatchedHashMap(rt::Scheduler& sched, Batcher::SetupPolicy setup,
-                               ApplyPolicy apply)
-    : buckets_(64), apply_(apply), batcher_(sched, *this, setup) {}
+BatchedHashMap::BatchedHashMap(rt::Scheduler& sched, Batcher::SetupPolicy setup)
+    : buckets_(64), batcher_(sched, *this, setup) {}
 
 std::size_t BatchedHashMap::bucket_of(Key key, std::size_t nbuckets) const {
   return static_cast<std::size_t>(mix(static_cast<std::uint64_t>(key))) &
@@ -107,105 +106,8 @@ bool BatchedHashMap::check_invariants() const {
 // BOP.
 // ---------------------------------------------------------------------------
 
-void BatchedHashMap::apply_to_bucket(Bucket& bucket, Op* op) {
-  auto it = std::find_if(bucket.begin(), bucket.end(),
-                         [&](const Entry& e) { return e.key == op->key; });
-  switch (op->kind) {
-    case Kind::Put:
-      if (it != bucket.end()) {
-        it->value = op->value;
-      } else {
-        bucket.push_back(Entry{op->key, op->value});
-      }
-      break;
-    case Kind::Get:
-      op->out = (it != bucket.end()) ? std::optional<Value>(it->value)
-                                     : std::nullopt;
-      break;
-    case Kind::Erase:
-      if (it != bucket.end()) {
-        *it = bucket.back();
-        bucket.pop_back();
-        op->found = true;
-      } else {
-        op->found = false;
-      }
-      break;
-    case Kind::Update:
-      if (it != bucket.end()) {
-        it->value += op->value;
-        op->out = it->value;
-      } else {
-        bucket.push_back(Entry{op->key, op->value});
-        op->out = op->value;
-      }
-      break;
-  }
-}
-
 void BatchedHashMap::run_batch(OpRecordBase* const* ops, std::size_t count) {
   if (count == 0) return;
-  if (apply_ == ApplyPolicy::Legacy) {
-    run_batch_legacy(ops, count);
-  } else {
-    run_batch_sortmerge(ops, count);
-  }
-  maybe_resize();
-}
-
-void BatchedHashMap::run_batch_legacy(OpRecordBase* const* ops,
-                                      std::size_t count) {
-  // Group by bucket, preserving working-set order within a bucket via the
-  // low bits of the sort key.
-  order_.clear();
-  order_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    Op* op = static_cast<Op*>(ops[i]);
-    const std::uint64_t bucket =
-        static_cast<std::uint64_t>(bucket_of(op->key, buckets_.size()));
-    order_.emplace_back((bucket << 20) | static_cast<std::uint64_t>(i), op);
-  }
-  par::parallel_sort(order_.data(), static_cast<std::int64_t>(order_.size()),
-                     [](const auto& a, const auto& b) { return a.first < b.first; });
-
-  // Find group boundaries, then apply groups in parallel.  Groups touch
-  // disjoint buckets, so the only shared bookkeeping is the size counter,
-  // which is accumulated from per-group deltas after the parallel phase.
-  std::vector<std::size_t> group_starts;
-  group_starts.push_back(0);
-  for (std::size_t i = 1; i < order_.size(); ++i) {
-    if ((order_[i].first >> 20) != (order_[i - 1].first >> 20)) {
-      group_starts.push_back(i);
-    }
-  }
-  group_starts.push_back(order_.size());
-
-  const std::size_t ngroups = group_starts.size() - 1;
-  std::vector<std::int64_t> delta(ngroups, 0);
-  rt::parallel_for(
-      0, static_cast<std::int64_t>(ngroups),
-      [&](std::int64_t g) {
-        const auto gi = static_cast<std::size_t>(g);
-        const std::size_t lo = group_starts[gi];
-        const std::size_t hi = group_starts[gi + 1];
-        const std::size_t bucket_index =
-            static_cast<std::size_t>(order_[lo].first >> 20);
-        Bucket& bucket = buckets_[bucket_index];
-        const std::int64_t before = static_cast<std::int64_t>(bucket.size());
-        for (std::size_t i = lo; i < hi; ++i) {
-          apply_to_bucket(bucket, order_[i].second);
-        }
-        delta[gi] = static_cast<std::int64_t>(bucket.size()) - before;
-      },
-      /*grain=*/1);
-
-  std::int64_t total = 0;
-  for (std::int64_t d : delta) total += d;
-  size_ = static_cast<std::size_t>(static_cast<std::int64_t>(size_) + total);
-}
-
-void BatchedHashMap::run_batch_sortmerge(OpRecordBase* const* ops,
-                                         std::size_t count) {
   // Gather + sort by (bucket, key, ws index): one sort yields the per-key
   // combine groups and, via their heads, the per-bucket apply groups.
   recs_.resize(count);
@@ -329,6 +231,7 @@ void BatchedHashMap::run_batch_sortmerge(OpRecordBase* const* ops,
       nbgroups, [&](std::int64_t i) { return delta[static_cast<std::size_t>(i)]; },
       [](std::int64_t a, std::int64_t b) { return a + b; }, 0);
   size_ = static_cast<std::size_t>(static_cast<std::int64_t>(size_) + total);
+  maybe_resize();
 }
 
 void BatchedHashMap::maybe_resize() {

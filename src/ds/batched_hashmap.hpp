@@ -1,6 +1,6 @@
 // Batched hash map: chained buckets with sort-merge batch application.
 //
-// The default (SortMerge) BOP sorts the batch by (bucket, key, working-set
+// The BOP sorts the batch by (bucket, key, working-set
 // index), scan-packs the distinct-key groups, and runs a per-key combine
 // pass in parallel: one pre-batch lookup per distinct key, then that key's
 // ops replayed serially in working-set order (so Get/Update results and
@@ -10,10 +10,6 @@
 // so per-key combining preserves the observable working-set-order semantics
 // — the strongest of the batched structures here — at W(n) = O(n) expected
 // work and s(n) = O(lg n + max same-key run + max keys-per-bucket) span.
-//
-// ApplyPolicy::Legacy keeps the pre-rewrite path (sort by (bucket, ws),
-// serial group-boundary walk, per-bucket serial replay with one bucket scan
-// per op) selectable for the A/B span ablation.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +18,6 @@
 
 #include "batcher/batcher.hpp"
 #include "batcher/op_record.hpp"
-#include "ds/batch_prep.hpp"
 
 namespace batcher::ds {
 
@@ -42,8 +37,7 @@ class BatchedHashMap final : public BatchedStructure {
   };
 
   explicit BatchedHashMap(rt::Scheduler& sched,
-                          Batcher::SetupPolicy setup = Batcher::kDefaultSetup,
-                          ApplyPolicy apply = ApplyPolicy::SortMerge);
+                          Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
 
   BatchedHashMap(const BatchedHashMap&) = delete;
   BatchedHashMap& operator=(const BatchedHashMap&) = delete;
@@ -65,7 +59,6 @@ class BatchedHashMap final : public BatchedStructure {
   bool check_invariants() const;
 
   Batcher& batcher() { return batcher_; }
-  ApplyPolicy apply_policy() const { return apply_; }
 
   void run_batch(OpRecordBase* const* ops, std::size_t count) override;
 
@@ -76,7 +69,7 @@ class BatchedHashMap final : public BatchedStructure {
   };
   using Bucket = std::vector<Entry>;
 
-  // SortMerge batch record, ordered (bucket, key, working-set index) so one
+  // Batch record, ordered (bucket, key, working-set index) so one
   // sort yields both the per-key combine groups and the per-bucket apply
   // groups.
   struct SortRec {
@@ -93,20 +86,15 @@ class BatchedHashMap final : public BatchedStructure {
   };
 
   std::size_t bucket_of(Key key, std::size_t nbuckets) const;
-  void apply_to_bucket(Bucket& bucket, Op* op);
-  void run_batch_legacy(OpRecordBase* const* ops, std::size_t count);
-  void run_batch_sortmerge(OpRecordBase* const* ops, std::size_t count);
   void maybe_resize();
 
   std::vector<Bucket> buckets_;
   std::size_t size_ = 0;
 
-  std::vector<std::pair<std::uint64_t, Op*>> order_;  // (bucket, ws index)
   std::vector<SortRec> recs_;
   std::vector<std::uint32_t> key_heads_, bucket_heads_;
   std::vector<std::uint8_t> net_present_;
   std::vector<Value> net_value_;
-  ApplyPolicy apply_;
   Batcher batcher_;
 };
 

@@ -15,9 +15,9 @@ namespace {
 
 using TaggedKey = prep::Tagged<BatchedSkipList::Key>;
 
-// SplitMix64-style mixer: per-batch seed + record index -> height bits, so
-// the SortMerge path can draw all heights in parallel while staying
-// deterministic for a given (seed, batch) pair.
+// SplitMix64-style mixer: per-batch seed + record index -> height bits, so a
+// batch can draw all heights in parallel while staying deterministic for a
+// given (seed, batch) pair.
 std::uint64_t mix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ULL;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
@@ -28,8 +28,8 @@ std::uint64_t mix64(std::uint64_t x) {
 }  // namespace
 
 BatchedSkipList::BatchedSkipList(rt::Scheduler& sched, std::uint64_t seed,
-                                 Batcher::SetupPolicy setup, ApplyPolicy apply)
-    : rng_(seed), apply_(apply), batcher_(sched, *this, setup) {
+                                 Batcher::SetupPolicy setup)
+    : rng_(seed), batcher_(sched, *this, setup) {
   head_ = allocate_node(/*key=*/0, kMaxHeight);
   for (int l = 0; l < kMaxHeight; ++l) head_->next[l] = nullptr;
 }
@@ -382,72 +382,11 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
   }
   par::parallel_sort(keys.data(), static_cast<std::int64_t>(keys.size()));
   search_sorted(ops, keys, /*inserting=*/false);
-  if (apply_ == ApplyPolicy::Legacy) {
-    apply_erases_legacy(ops, keys);
-  } else {
-    apply_erases_sortmerge(keys);
-  }
-}
 
-void BatchedSkipList::apply_erases_legacy(
-    std::vector<Op*>& ops, const std::vector<TaggedKey>& keys) {
-  // Sequential unlink in ascending key order.  A recorded predecessor may
-  // itself have been erased earlier in this phase; updating its pointers
-  // would leave the victim linked in the live chain.  `finger[l]` tracks the
-  // most recent *live* level-l predecessor (keys ascend, so fingers only
-  // move forward), and a dead recorded predecessor falls back to it.
-  Node* finger[kMaxHeight];
-  for (int l = 0; l < kMaxHeight; ++l) finger[l] = head_;
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    Op* op = ops[keys[i].ws];
-    if (i > 0 && keys[i].key == keys[i - 1].key) {
-      op->found = false;  // duplicate erase in the same batch loses
-      continue;
-    }
-    const Key key = keys[i].key;
-    Node** preds = &pred_scratch_[i * kMaxHeight];
-    // Locate the victim from a live level-0 predecessor.
-    Node* p0 = preds[0];
-    if (p0->erased || (finger[0] != head_ &&
-                       (p0 == head_ || finger[0]->key > p0->key))) {
-      p0 = finger[0];
-    }
-    Node* hit = p0->next[0];
-    while (hit != nullptr && hit->key < key) hit = hit->next[0];
-    if (hit == nullptr || hit->key != key) {
-      op->found = false;
-      continue;
-    }
-    for (int l = 0; l < hit->height; ++l) {
-      Node* p = preds[l];
-      if (p->erased ||
-          (finger[l] != head_ && (p == head_ || finger[l]->key > p->key))) {
-        p = finger[l];
-      }
-      while (p->next[l] != hit && p->next[l] != nullptr &&
-             p->next[l]->key < key) {
-        p = p->next[l];
-      }
-      if (p->next[l] == hit) {
-        p->next[l] = hit->next[l];
-        finger[l] = p;
-      }
-    }
-    hit->erased = true;
-    --size_;
-    op->found = true;
-    // Memory stays in the arena (reclaimed at destruction; see header).
-  }
-  while (height_ > 1 && head_->next[height_ - 1] == nullptr) --height_;
-}
-
-void BatchedSkipList::apply_erases_sortmerge(
-    const std::vector<TaggedKey>& keys) {
   // search_sorted left each distinct key's predecessors in pred_scratch_ and
   // its victim (or null) in node_scratch_.
-  const std::size_t nk = keys.size();
   const std::int64_t m = par::pack_indices(
-      static_cast<std::int64_t>(nk),
+      static_cast<std::int64_t>(keys.size()),
       [&](std::int64_t i) {
         return node_scratch_[static_cast<std::size_t>(i)] != nullptr;
       },
@@ -576,71 +515,12 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
   // payload keys have no per-key result.
   search_sorted(single, keys, /*inserting=*/true);
 
-  if (apply_ == ApplyPolicy::Legacy) {
-    apply_inserts_legacy(single, keys);
-  } else {
-    apply_inserts_sortmerge(keys);
-  }
-}
-
-void BatchedSkipList::apply_inserts_legacy(
-    const std::vector<Op*>& single, const std::vector<TaggedKey>& keys) {
-  const std::size_t nk = keys.size();
-  // Step 3 (sequential splice), ascending.  For each level, the true
-  // predecessor is whichever is later of (a) the recorded pre-batch
-  // predecessor and (b) the most recently spliced new node reaching that
-  // level — both have keys < key, and nothing else can lie between.
-  Node* last_spliced[kMaxHeight] = {nullptr};
-  for (std::size_t i = 0; i < nk; ++i) {
-    const Key key = keys[i].key;
-    const std::uint32_t src = keys[i].ws;
-    Op* op = src < single.size() ? single[src] : nullptr;
-    if (i > 0 && keys[i].key == keys[i - 1].key) {
-      if (op != nullptr) op->found = false;  // duplicate within batch
-      continue;
-    }
-    Node** preds = &pred_scratch_[i * kMaxHeight];
-    // Already present?
-    {
-      Node* p = preds[0];
-      if (last_spliced[0] != nullptr &&
-          (p == head_ || last_spliced[0]->key > p->key)) {
-        p = last_spliced[0];
-      }
-      Node* hit = p->next[0];
-      while (hit != nullptr && hit->key < key) hit = hit->next[0];
-      if (hit != nullptr && hit->key == key) {
-        if (op != nullptr) op->found = false;
-        continue;
-      }
-    }
-    const int h = random_height();
-    Node* node = allocate_node(key, h);
-    if (h > height_) height_ = h;
-    for (int l = 0; l < h; ++l) {
-      Node* p = preds[l];
-      if (last_spliced[l] != nullptr &&
-          (p == head_ || last_spliced[l]->key > p->key)) {
-        p = last_spliced[l];
-      }
-      node->next[l] = p->next[l];
-      p->next[l] = node;
-      last_spliced[l] = node;
-    }
-    ++size_;
-    if (op != nullptr) op->found = true;
-  }
-}
-
-void BatchedSkipList::apply_inserts_sortmerge(
-    const std::vector<TaggedKey>& keys) {
   // search_sorted left each distinct key's predecessors and their pre-batch
   // successors in pred/succ_scratch_ and a fresh flag for every key in
   // flag_scratch_.  The list is untouched until the splice, so the
   // successors are exact and no re-walk is needed.
-  const std::size_t nk = keys.size();
   const std::int64_t m = par::pack_indices(
-      static_cast<std::int64_t>(nk),
+      static_cast<std::int64_t>(total_keys),
       [&](std::int64_t i) {
         return flag_scratch_[static_cast<std::size_t>(i)] != 0;
       },

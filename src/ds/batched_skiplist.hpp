@@ -12,19 +12,16 @@
 //      descents round-robin, a node step each, prefetching the node every
 //      descent reads next, so the group's misses overlap instead of queuing;
 //      groups run in parallel;
-//   3. splice the new nodes into the main list.
-//
-// Step 3 comes in two selectable flavours (ApplyPolicy):
-//   * SortMerge (default) — per-level divide-and-conquer splice: new nodes
-//     sharing a pre-batch level-l predecessor form a contiguous segment;
-//     segments with distinct predecessors touch disjoint pointers, so every
-//     node writes its own forward pointer and each segment head rewires the
-//     shared predecessor, all in one flat parallel_for per level (levels are
-//     themselves independent).  Erases unlink the same way: victims at a
-//     level split into chain-adjacent runs and each run's single live
-//     predecessor is rewired past the run.  s(n) = O(lg n · lg x) span.
-//   * Legacy — the paper-prototype sequential splice / finger-walk erase,
-//     kept selectable for the A/B span ablation (Θ(x) span).
+//   3. splice the new nodes into the main list with a per-level
+//      divide-and-conquer splice: new nodes sharing a pre-batch level-l
+//      predecessor form a contiguous segment; segments with distinct
+//      predecessors touch disjoint pointers, so every node writes its own
+//      forward pointer and each segment head rewires the shared predecessor,
+//      all in one flat parallel_for per level (levels are themselves
+//      independent).  Erases unlink the same way: victims at a level split
+//      into chain-adjacent runs and each run's single live predecessor is
+//      rewired past the run.  s(n) = O(lg n · lg x) span, where the paper's
+//      prototype splices sequentially in Θ(x).
 //
 // Batches may mix operation kinds.  Phase order within a batch (documented
 // semantics; the paper leaves it open): CONTAINS observes the pre-batch
@@ -74,8 +71,7 @@ class BatchedSkipList final : public BatchedStructure {
 
   explicit BatchedSkipList(rt::Scheduler& sched,
                            std::uint64_t seed = 0xdecafbadULL,
-                           Batcher::SetupPolicy setup = Batcher::kDefaultSetup,
-                           ApplyPolicy apply = ApplyPolicy::SortMerge);
+                           Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
   ~BatchedSkipList() override;
 
   BatchedSkipList(const BatchedSkipList&) = delete;
@@ -103,7 +99,6 @@ class BatchedSkipList final : public BatchedStructure {
   bool check_invariants() const;
 
   Batcher& batcher() { return batcher_; }
-  ApplyPolicy apply_policy() const { return apply_; }
 
   // BOP.
   void run_batch(OpRecordBase* const* ops, std::size_t count) override;
@@ -143,9 +138,9 @@ class BatchedSkipList final : public BatchedStructure {
   // next, so their cache and TLB misses overlap.
   void find_preds_group(int n, const Key* keys, Node** const* preds,
                         Node** const* succs) const;
-  // Step 2 for a sorted insert (`inserting`) or erase batch, shared by both
-  // apply policies: per-level predecessors of the first occurrence of each
-  // distinct key, plus its result.  `ops[keys[i].ws]` is the record owning
+  // Step 2 for a sorted insert (`inserting`) or erase batch: per-level
+  // predecessors of the first occurrence of each distinct key, plus its
+  // result.  `ops[keys[i].ws]` is the record owning
   // key i (none for ws >= ops.size(), i.e. MultiInsert payload keys).
   void search_sorted(std::span<Op* const> ops,
                      const std::vector<prep::Tagged<Key>>& keys,
@@ -153,14 +148,8 @@ class BatchedSkipList final : public BatchedStructure {
 
   void apply_reads(std::vector<Op*>& ops);
   void apply_erases(std::vector<Op*>& ops);
-  void apply_erases_legacy(std::vector<Op*>& ops,
-                           const std::vector<prep::Tagged<Key>>& keys);
-  void apply_erases_sortmerge(const std::vector<prep::Tagged<Key>>& keys);
   void apply_inserts(const std::vector<Op*>& single,
                      const std::vector<Op*>& multi);
-  void apply_inserts_legacy(const std::vector<Op*>& single,
-                            const std::vector<prep::Tagged<Key>>& keys);
-  void apply_inserts_sortmerge(const std::vector<prep::Tagged<Key>>& keys);
 
   Node* head_;
   int height_ = 1;     // number of levels currently in use
@@ -176,7 +165,6 @@ class BatchedSkipList final : public BatchedStructure {
 
   // Scratch reused across batches.
   std::vector<Op*> contains_ops_, erase_ops_, insert_ops_, multi_ops_;
-  std::vector<Key> batch_keys_;
   std::vector<std::uint32_t> key_offsets_;
   std::vector<Node*> pred_scratch_;
   std::vector<Node*> succ_scratch_;
@@ -186,7 +174,6 @@ class BatchedSkipList final : public BatchedStructure {
   std::vector<int> height_scratch_;
   std::vector<std::size_t> offset_scratch_;   // per-node arena byte offsets
 
-  ApplyPolicy apply_;
   Batcher batcher_;
 };
 

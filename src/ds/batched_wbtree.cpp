@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "ds/batch_prep.hpp"
 #include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 #include "runtime/api.hpp"
@@ -11,25 +12,22 @@ namespace batcher::ds {
 
 namespace {
 
-// Below this many nodes the set operations recurse sequentially: spawning a
-// task per tiny subtree would drown the win.
+// Below this many nodes build_range recurses sequentially: spawning a task
+// per tiny subtree would drown the win.
 constexpr std::int64_t kParallelCutoff = 512;
 
 // The bulk sort-merge passes recurse over (subtree, key-range) pairs whose
-// sizes shrink geometrically; a lower cutoff than the whole-tree set
-// operations keeps the measured span of batch-sized merges sublinear while
-// still amortizing spawn overhead over ~a hundred nodes of serial work.
+// sizes shrink geometrically; a lower cutoff than build_range's keeps the
+// measured span of batch-sized merges sublinear while still amortizing
+// spawn overhead over ~a hundred nodes of serial work.
 constexpr std::int64_t kBulkParallelCutoff = 96;
 
 using TaggedKey = prep::Tagged<BatchedWBTree::Key>;
 
 }  // namespace
 
-BatchedWBTree::BatchedWBTree(rt::Scheduler& sched, Batcher::SetupPolicy setup,
-                             ApplyPolicy apply)
-    : arenas_(sched.num_workers() + 1),
-      apply_(apply),
-      batcher_(sched, *this, setup) {}
+BatchedWBTree::BatchedWBTree(rt::Scheduler& sched, Batcher::SetupPolicy setup)
+    : arenas_(sched.num_workers() + 1), batcher_(sched, *this, setup) {}
 
 batcher::Arena& BatchedWBTree::local_arena() {
   const rt::Worker* w = rt::current_worker();
@@ -128,54 +126,10 @@ BatchedWBTree::Node* BatchedWBTree::join2(Node* l, Node* r) {
   return join(l, k, r);
 }
 
-BatchedWBTree::SplitResult BatchedWBTree::split(Node* t, Key k) {
-  if (t == nullptr) return SplitResult{nullptr, false, nullptr};
-  if (k == t->key) return SplitResult{t->left, true, t->right};
-  if (k < t->key) {
-    SplitResult s = split(t->left, k);
-    return SplitResult{s.left, s.found, join(s.right, t->key, t->right)};
-  }
-  SplitResult s = split(t->right, k);
-  return SplitResult{join(t->left, t->key, s.left), s.found, s.right};
-}
-
-BatchedWBTree::Node* BatchedWBTree::union_with(Node* t, Node* batch) {
-  if (t == nullptr) return batch;
-  if (batch == nullptr) return t;
-  SplitResult s = split(batch, t->key);  // a duplicate of t->key is dropped
-  Node* l = nullptr;
-  Node* r = nullptr;
-  if (tsize(t) + tsize(batch) > kParallelCutoff) {
-    rt::parallel_invoke([&] { l = union_with(t->left, s.left); },
-                        [&] { r = union_with(t->right, s.right); });
-  } else {
-    l = union_with(t->left, s.left);
-    r = union_with(t->right, s.right);
-  }
-  return join(l, t->key, r);
-}
-
-BatchedWBTree::Node* BatchedWBTree::difference(Node* t, const Node* batch) {
-  if (t == nullptr) return nullptr;
-  if (batch == nullptr) return t;
-  SplitResult s = split(t, batch->key);  // drops batch->key if present
-  Node* l = nullptr;
-  Node* r = nullptr;
-  if (tsize(t) > kParallelCutoff) {
-    rt::parallel_invoke([&] { l = difference(s.left, batch->left); },
-                        [&] { r = difference(s.right, batch->right); });
-  } else {
-    l = difference(s.left, batch->left);
-    r = difference(s.right, batch->right);
-  }
-  return join2(l, r);
-}
-
 // Merge the sorted, duplicate-free, all-absent keys straight into `t`: one
 // binary search splits the key range around t->key, both sides recurse in
-// parallel, and `join` rebalances on the way up.  Compared with the legacy
-// build_range + union_with pair this skips materializing the batch tree and
-// keeps every phase parallel.
+// parallel, and `join` rebalances on the way up.  No batch tree is
+// materialized.
 BatchedWBTree::Node* BatchedWBTree::bulk_insert(Node* t, const Key* keys,
                                                 std::int64_t n) {
   if (n == 0) return t;
@@ -432,22 +386,7 @@ void BatchedWBTree::apply_erases(std::vector<Op*>& ops) {
       },
       /*grain=*/1);
 
-  if (apply_ == ApplyPolicy::Legacy) {
-    // Legacy ablation path: serial compaction, then tree-vs-tree DIFFERENCE.
-    std::vector<Key> present;
-    present.reserve(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (flag_scratch_[i]) present.push_back(keys[i].key);
-    }
-    if (present.empty()) return;
-    Node* del_tree =
-        build_range(present.data(), static_cast<std::int64_t>(present.size()));
-    root_ = difference(root_, del_tree);
-    size_ -= present.size();
-    return;
-  }
-
-  // SortMerge: scan-compact the present keys and merge them out of the tree
+  // Scan-compact the present keys and merge them out of the tree
   // directly (no intermediate batch tree, no serial phase).
   const std::int64_t m = par::pack_indices(
       static_cast<std::int64_t>(keys.size()),
@@ -490,23 +429,8 @@ void BatchedWBTree::apply_inserts(std::vector<Op*>& ops) {
       },
       /*grain=*/1);
 
-  if (apply_ == ApplyPolicy::Legacy) {
-    // Legacy ablation path: serial compaction, build_range, then UNION.
-    std::vector<Key> new_keys;
-    new_keys.reserve(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      if (flag_scratch_[i]) new_keys.push_back(keys[i].key);
-    }
-    if (new_keys.empty()) return;
-    Node* ins_tree = build_range(new_keys.data(),
-                                 static_cast<std::int64_t>(new_keys.size()));
-    root_ = union_with(root_, ins_tree);
-    size_ += new_keys.size();
-    return;
-  }
-
-  // SortMerge: scan-compact the fresh keys and merge the sorted array into
-  // the tree in one parallel divide-and-conquer pass.
+  // Scan-compact the fresh keys and merge the sorted array into the tree in
+  // one parallel divide-and-conquer pass.
   const std::int64_t m = par::pack_indices(
       static_cast<std::int64_t>(keys.size()),
       [&](std::int64_t i) {

@@ -3,24 +3,19 @@
 // The paper's related work (§6) points at batched search trees with bulk
 // updates (weight-balanced B-trees [14], red-black trees [16]).  This module
 // implements the modern form of that idea: a weight-balanced binary tree
-// whose batch operations are the join-based set algorithms (split / join /
-// union / difference à la Adams; see Blelloch, Ferizovic & Sun, "Just Join
-// for Parallel Ordered Sets", SPAA 2016 — itself the lineage of [14]):
+// whose batch operations are join-based bulk merges (Adams-style `join`;
+// see Blelloch, Ferizovic & Sun, "Just Join for Parallel Ordered Sets",
+// SPAA 2016 — itself the lineage of [14]):
 //
 //   * a batch of x inserts:  sort + scan-compact the fresh keys, then merge
 //     the sorted array straight into the tree: split the key range by the
 //     root's key (one binary search), recurse into both subtrees in
 //     parallel, and rebalance with `join` on the way up — O(x·lg(n/x + 1))
-//     work, polylog span (SortMerge, the default);
+//     work, polylog span;
 //   * a batch of x erases:   the dual bulk pass dropping hit keys via
 //     `join2`, same bounds;
 //   * reads (contains / rank / select / range-count) are embarrassingly
 //     parallel searches over the pre-batch tree.
-//
-// ApplyPolicy::Legacy keeps the pre-rewrite path — serial compaction of the
-// batch into a vector, `build_range`, then UNION/DIFFERENCE of whole trees —
-// selectable for the A/B span ablation: its serial compact + build prefix is
-// the Θ(x)-span phase the SortMerge path removes.
 //
 // Balance scheme: Adams-style weights (w = size + 1) with Δ = 3, Γ = 2 and
 // single/double rotations along the join spine.  `check_invariants` verifies
@@ -36,7 +31,6 @@
 
 #include "batcher/batcher.hpp"
 #include "batcher/op_record.hpp"
-#include "ds/batch_prep.hpp"
 #include "support/arena.hpp"
 
 namespace batcher::ds {
@@ -64,8 +58,7 @@ class BatchedWBTree final : public BatchedStructure {
   };
 
   explicit BatchedWBTree(rt::Scheduler& sched,
-                         Batcher::SetupPolicy setup = Batcher::kDefaultSetup,
-                         ApplyPolicy apply = ApplyPolicy::SortMerge);
+                         Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
 
   BatchedWBTree(const BatchedWBTree&) = delete;
   BatchedWBTree& operator=(const BatchedWBTree&) = delete;
@@ -88,7 +81,6 @@ class BatchedWBTree final : public BatchedStructure {
   bool check_invariants() const;
 
   Batcher& batcher() { return batcher_; }
-  ApplyPolicy apply_policy() const { return apply_; }
 
   void run_batch(OpRecordBase* const* ops, std::size_t count) override;
 
@@ -113,17 +105,7 @@ class BatchedWBTree final : public BatchedStructure {
 
   Node* join(Node* l, Key k, Node* r);
   Node* join2(Node* l, Node* r);
-  // Splits `t` by `k` into (<k, k present?, >k); consumes `t`'s nodes.
-  struct SplitResult {
-    Node* left;
-    bool found;
-    Node* right;
-  };
-  SplitResult split(Node* t, Key k);
   Node* split_last(Node* t, Key* out_key);  // removes the maximum
-
-  Node* union_with(Node* t, Node* batch);       // t ∪ batch
-  Node* difference(Node* t, const Node* batch); // t \ batch
 
   // Bulk sort-merge passes: merge a sorted array of keys into / out of the
   // tree directly, splitting the array by the root key and recursing into
@@ -157,7 +139,6 @@ class BatchedWBTree final : public BatchedStructure {
   std::vector<std::uint8_t> flag_scratch_;
   std::vector<std::uint32_t> live_index_;
   std::vector<Key> key_scratch_;
-  ApplyPolicy apply_;
   Batcher batcher_;
 };
 

@@ -85,15 +85,16 @@ class ShardRouter {
 
   // Register one keyspace served by `shards` (≥1 structure replicas).
   // Returns the group id used for routing.  Not thread-safe; call before
-  // serve().
+  // serve().  Throws std::invalid_argument (from ExternalDomain) if
+  // Options::max_threads is 0; the router is then unchanged.
   std::size_t add_group(const std::vector<BatchedStructure*>& shards) {
     BATCHER_ASSERT(!shards.empty(), "a shard group needs >= 1 structures");
-    const std::size_t group = groups_.size();
-    groups_.push_back({shards_.size(), shards.size()});
+    const std::size_t begin = shards_.size();
     for (BatchedStructure* ds : shards) {
       shards_.push_back(std::make_unique<Shard>(sched_, *ds, options_, gate_));
     }
-    return group;
+    groups_.push_back({begin, shards.size()});
+    return groups_.size() - 1;
   }
 
   std::size_t num_shards() const { return shards_.size(); }

@@ -9,10 +9,10 @@
 //
 //   1. 500-seed perturbed-tape sweeps per structure: randomly generated
 //      batches over a deliberately tiny key universe (so nearly every batch
-//      carries same-key collisions) driven through run_batch for BOTH apply
-//      policies and checked op-for-op against a sequential phase-aware
-//      reference model.  Legacy and SortMerge answer the same tape, so the
-//      sweep is simultaneously the legacy-vs-sortmerge equivalence check.
+//      carries same-key collisions) driven through run_batch and checked
+//      op-for-op against a sequential phase-aware reference model.  (The
+//      sweeps' names predate the removal of the second apply path; they are
+//      kept so the test IDs stay stable.)
 //   2. Blocking-API rounds under the schedule perturber (when BATCHER_AUDIT
 //      hooks are compiled in): batch partitions are whatever the real launch
 //      protocol produces, so each round asserts only partition-insensitive
@@ -40,7 +40,6 @@
 #include "audit/audit_session.hpp"
 #include "audit/schedule_perturber.hpp"
 #include "batcher/op_record.hpp"
-#include "ds/batch_prep.hpp"
 #include "ds/batched_hashmap.hpp"
 #include "ds/batched_skiplist.hpp"
 #include "ds/batched_wbtree.hpp"
@@ -53,7 +52,6 @@
 namespace batcher {
 namespace {
 
-using ds::ApplyPolicy;
 using ds::BatchedHashMap;
 using ds::BatchedSkipList;
 using ds::BatchedWBTree;
@@ -72,7 +70,7 @@ Key draw_key(Xoshiro256& rng) {
 }
 
 // ---------------------------------------------------------------------------
-// 1a. Skip list: mixed tape vs phase-aware model, both policies.
+// 1a. Skip list: mixed tape vs phase-aware model.
 // ---------------------------------------------------------------------------
 
 struct SkipSpec {
@@ -172,8 +170,8 @@ std::vector<SkipExpected> model_skip_batch(std::set<Key>& s,
 }
 
 void run_skip_batch(BatchedSkipList& list, const std::vector<SkipSpec>& specs,
-                    const std::vector<SkipExpected>& exp, const char* tag,
-                    std::uint64_t seed, int round) {
+                    const std::vector<SkipExpected>& exp, std::uint64_t seed,
+                    int round) {
   std::vector<BatchedSkipList::Op> ops(specs.size());
   std::vector<OpRecordBase*> ptrs(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -186,21 +184,20 @@ void run_skip_batch(BatchedSkipList& list, const std::vector<SkipSpec>& specs,
   }
   list.run_batch(ptrs.data(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
-    const char* where = tag;
     switch (specs[i].kind) {
       case BatchedSkipList::Kind::MultiInsert:
         break;  // no per-op result contract
       case BatchedSkipList::Kind::Successor:
         ASSERT_EQ(ops[i].out_key, exp[i].out_key)
-            << where << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
       case BatchedSkipList::Kind::RangeCount:
         ASSERT_EQ(ops[i].count, exp[i].count)
-            << where << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
       default:
         ASSERT_EQ(ops[i].found, exp[i].found)
-            << where << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
     }
   }
@@ -210,37 +207,27 @@ TEST(BopSameKey, SkipListMixedTapeMatchesModelUnderBothPolicies) {
   rt::Scheduler sched(2);
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     Xoshiro256 rng(seed * 2 + 1);
-    BatchedSkipList legacy(sched, seed + 1, Batcher::kDefaultSetup,
-                           ApplyPolicy::Legacy);
-    BatchedSkipList sortmerge(sched, seed + 1, Batcher::kDefaultSetup,
-                              ApplyPolicy::SortMerge);
+    BatchedSkipList list(sched, seed + 1);
     std::set<Key> model;
     sched.run([&] {
       for (int round = 0; round < kRoundsPerSeed; ++round) {
         const std::size_t n = 1 + rng.next_below(32);
         const auto specs = random_skip_batch(rng, n);
         const auto exp = model_skip_batch(model, specs);
-        ASSERT_NO_FATAL_FAILURE(
-            run_skip_batch(legacy, specs, exp, "legacy", seed, round));
-        ASSERT_NO_FATAL_FAILURE(
-            run_skip_batch(sortmerge, specs, exp, "sortmerge", seed, round));
+        ASSERT_NO_FATAL_FAILURE(run_skip_batch(list, specs, exp, seed, round));
       }
     });
-    ASSERT_TRUE(legacy.check_invariants()) << "seed " << seed;
-    ASSERT_TRUE(sortmerge.check_invariants()) << "seed " << seed;
-    ASSERT_EQ(legacy.size_unsafe(), model.size()) << "seed " << seed;
-    ASSERT_EQ(sortmerge.size_unsafe(), model.size()) << "seed " << seed;
+    ASSERT_TRUE(list.check_invariants()) << "seed " << seed;
+    ASSERT_EQ(list.size_unsafe(), model.size()) << "seed " << seed;
     for (std::int64_t k = 0; k < kUniverse; ++k) {
-      ASSERT_EQ(legacy.contains_unsafe(k * 10), model.count(k * 10) > 0)
-          << "seed " << seed << " key " << k * 10;
-      ASSERT_EQ(sortmerge.contains_unsafe(k * 10), model.count(k * 10) > 0)
+      ASSERT_EQ(list.contains_unsafe(k * 10), model.count(k * 10) > 0)
           << "seed " << seed << " key " << k * 10;
     }
   }
 }
 
 // ---------------------------------------------------------------------------
-// 1b. Weight-balanced tree: mixed tape vs phase-aware model, both policies.
+// 1b. Weight-balanced tree: mixed tape vs phase-aware model.
 // ---------------------------------------------------------------------------
 
 struct TreeSpec {
@@ -335,8 +322,8 @@ std::vector<TreeExpected> model_tree_batch(std::set<Key>& s,
 }
 
 void run_tree_batch(BatchedWBTree& tree, const std::vector<TreeSpec>& specs,
-                    const std::vector<TreeExpected>& exp, const char* tag,
-                    std::uint64_t seed, int round) {
+                    const std::vector<TreeExpected>& exp, std::uint64_t seed,
+                    int round) {
   std::vector<BatchedWBTree::Op> ops(specs.size());
   std::vector<OpRecordBase*> ptrs(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -353,16 +340,16 @@ void run_tree_batch(BatchedWBTree& tree, const std::vector<TreeSpec>& specs,
     switch (specs[i].kind) {
       case BatchedWBTree::Kind::Select:
         ASSERT_EQ(ops[i].out_key, exp[i].out_key)
-            << tag << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
       case BatchedWBTree::Kind::Rank:
       case BatchedWBTree::Kind::RangeCount:
         ASSERT_EQ(ops[i].count, exp[i].count)
-            << tag << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
       default:
         ASSERT_EQ(ops[i].found, exp[i].found)
-            << tag << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
     }
   }
@@ -372,30 +359,23 @@ TEST(BopSameKey, WBTreeMixedTapeMatchesModelUnderBothPolicies) {
   rt::Scheduler sched(2);
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     Xoshiro256 rng(seed * 2 + 2);
-    BatchedWBTree legacy(sched, Batcher::kDefaultSetup, ApplyPolicy::Legacy);
-    BatchedWBTree sortmerge(sched, Batcher::kDefaultSetup,
-                            ApplyPolicy::SortMerge);
+    BatchedWBTree tree(sched);
     std::set<Key> model;
     sched.run([&] {
       for (int round = 0; round < kRoundsPerSeed; ++round) {
         const std::size_t n = 1 + rng.next_below(32);
         const auto specs = random_tree_batch(rng, n);
         const auto exp = model_tree_batch(model, specs);
-        ASSERT_NO_FATAL_FAILURE(
-            run_tree_batch(legacy, specs, exp, "legacy", seed, round));
-        ASSERT_NO_FATAL_FAILURE(
-            run_tree_batch(sortmerge, specs, exp, "sortmerge", seed, round));
+        ASSERT_NO_FATAL_FAILURE(run_tree_batch(tree, specs, exp, seed, round));
       }
     });
-    ASSERT_TRUE(legacy.check_invariants()) << "seed " << seed;
-    ASSERT_TRUE(sortmerge.check_invariants()) << "seed " << seed;
-    ASSERT_EQ(legacy.size_unsafe(), model.size()) << "seed " << seed;
-    ASSERT_EQ(sortmerge.size_unsafe(), model.size()) << "seed " << seed;
+    ASSERT_TRUE(tree.check_invariants()) << "seed " << seed;
+    ASSERT_EQ(tree.size_unsafe(), model.size()) << "seed " << seed;
   }
 }
 
 // ---------------------------------------------------------------------------
-// 1c. Hash map: mixed tape vs sequential working-set replay, both policies.
+// 1c. Hash map: mixed tape vs sequential working-set replay.
 // ---------------------------------------------------------------------------
 
 struct MapSpec {
@@ -459,8 +439,8 @@ std::vector<MapExpected> model_map_batch(std::map<Key, std::int64_t>& m,
 }
 
 void run_map_batch(BatchedHashMap& map, const std::vector<MapSpec>& specs,
-                   const std::vector<MapExpected>& exp, const char* tag,
-                   std::uint64_t seed, int round) {
+                   const std::vector<MapExpected>& exp, std::uint64_t seed,
+                   int round) {
   std::vector<BatchedHashMap::Op> ops(specs.size());
   std::vector<OpRecordBase*> ptrs(specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -475,11 +455,11 @@ void run_map_batch(BatchedHashMap& map, const std::vector<MapSpec>& specs,
       case BatchedHashMap::Kind::Get:
       case BatchedHashMap::Kind::Update:
         ASSERT_EQ(ops[i].out, exp[i].out)
-            << tag << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
       case BatchedHashMap::Kind::Erase:
         ASSERT_EQ(ops[i].found, exp[i].found)
-            << tag << " seed " << seed << " round " << round << " op " << i;
+            << "seed " << seed << " round " << round << " op " << i;
         break;
       default:
         break;
@@ -491,29 +471,20 @@ TEST(BopSameKey, HashMapMixedTapeMatchesWorkingSetReplayUnderBothPolicies) {
   rt::Scheduler sched(2);
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     Xoshiro256 rng(seed * 2 + 3);
-    BatchedHashMap legacy(sched, Batcher::kDefaultSetup, ApplyPolicy::Legacy);
-    BatchedHashMap sortmerge(sched, Batcher::kDefaultSetup,
-                             ApplyPolicy::SortMerge);
+    BatchedHashMap map(sched);
     std::map<Key, std::int64_t> model;
     sched.run([&] {
       for (int round = 0; round < kRoundsPerSeed; ++round) {
         const std::size_t n = 1 + rng.next_below(32);
         const auto specs = random_map_batch(rng, n);
         const auto exp = model_map_batch(model, specs);
-        ASSERT_NO_FATAL_FAILURE(
-            run_map_batch(legacy, specs, exp, "legacy", seed, round));
-        ASSERT_NO_FATAL_FAILURE(
-            run_map_batch(sortmerge, specs, exp, "sortmerge", seed, round));
+        ASSERT_NO_FATAL_FAILURE(run_map_batch(map, specs, exp, seed, round));
       }
     });
-    ASSERT_TRUE(legacy.check_invariants()) << "seed " << seed;
-    ASSERT_TRUE(sortmerge.check_invariants()) << "seed " << seed;
-    ASSERT_EQ(legacy.size_unsafe(), model.size()) << "seed " << seed;
-    ASSERT_EQ(sortmerge.size_unsafe(), model.size()) << "seed " << seed;
+    ASSERT_TRUE(map.check_invariants()) << "seed " << seed;
+    ASSERT_EQ(map.size_unsafe(), model.size()) << "seed " << seed;
     for (const auto& [k, v] : model) {
-      ASSERT_EQ(legacy.get_unsafe(k), std::optional<std::int64_t>(v))
-          << "seed " << seed << " key " << k;
-      ASSERT_EQ(sortmerge.get_unsafe(k), std::optional<std::int64_t>(v))
+      ASSERT_EQ(map.get_unsafe(k), std::optional<std::int64_t>(v))
           << "seed " << seed << " key " << k;
     }
   }
@@ -548,15 +519,12 @@ class PerturbedScope {
   std::unique_ptr<audit::AuditSession> session_;
 };
 
-class BopPolicy : public ::testing::TestWithParam<ApplyPolicy> {};
-
-TEST_P(BopPolicy, PerturbedSameKeyRoundsKeepAggregateSemantics) {
-  const ApplyPolicy apply = GetParam();
+TEST(BopBlockingApi, PerturbedSameKeyRoundsKeepAggregateSemantics) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     PerturbedScope perturbed(seed + 100);
     Xoshiro256 rng(seed + 100);
     rt::Scheduler sched(4);
-    BatchedSkipList list(sched, seed + 1, Batcher::kDefaultSetup, apply);
+    BatchedSkipList list(sched, seed + 1);
     std::set<Key> member;  // pre-round membership
     sched.run([&] {
       for (int round = 0; round < 8; ++round) {
@@ -620,12 +588,11 @@ TEST_P(BopPolicy, PerturbedSameKeyRoundsKeepAggregateSemantics) {
   }
 }
 
-TEST_P(BopPolicy, PerturbedUpdateDeltasFoldExactly) {
-  const ApplyPolicy apply = GetParam();
+TEST(BopBlockingApi, PerturbedUpdateDeltasFoldExactly) {
   for (std::uint64_t seed = 0; seed < 8; ++seed) {
     PerturbedScope perturbed(seed + 200);
     rt::Scheduler sched(4);
-    BatchedHashMap map(sched, Batcher::kDefaultSetup, apply);
+    BatchedHashMap map(sched);
     const std::int64_t per_key = 25;
     sched.run([&] {
       // All strands update the same few keys with delta 1: whatever the
@@ -657,19 +624,14 @@ TEST_P(BopPolicy, PerturbedUpdateDeltasFoldExactly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Policies, BopPolicy,
-                         ::testing::Values(ApplyPolicy::Legacy,
-                                           ApplyPolicy::SortMerge));
-
 // ---------------------------------------------------------------------------
 // 3. Large direct-driven batches: the sizes the span profile measures.
 // ---------------------------------------------------------------------------
 
-TEST_P(BopPolicy, LargeDirectBatchesAcrossAllSizeBuckets) {
-  const ApplyPolicy apply = GetParam();
+TEST(BopLargeBatch, LargeDirectBatchesAcrossAllSizeBuckets) {
   rt::Scheduler sched(4);
-  BatchedSkipList list(sched, 99, Batcher::kDefaultSetup, apply);
-  BatchedWBTree tree(sched, Batcher::kDefaultSetup, apply);
+  BatchedSkipList list(sched, 99);
+  BatchedWBTree tree(sched);
   std::set<Key> model;
   Xoshiro256 rng(99);
   sched.run([&] {
@@ -717,10 +679,9 @@ TEST_P(BopPolicy, LargeDirectBatchesAcrossAllSizeBuckets) {
   }
 }
 
-TEST_P(BopPolicy, MultiInsertLargeBatchMatchesSet) {
-  const ApplyPolicy apply = GetParam();
+TEST(BopLargeBatch, MultiInsertLargeBatchMatchesSet) {
   rt::Scheduler sched(4);
-  BatchedSkipList list(sched, 7, Batcher::kDefaultSetup, apply);
+  BatchedSkipList list(sched, 7);
   Xoshiro256 rng(7);
   // The paper's BATCHIFY trick: each record carries 100 keys; one batch of
   // 16 records therefore splices 1600 keys (gt_64 bucket) in one BOP.
@@ -775,8 +736,7 @@ std::uint64_t measure_bop_span_tasks(
 
 std::uint64_t skiplist_insert_span_tasks(std::size_t n) {
   return measure_bop_span_tasks([&](rt::Scheduler& sched) {
-    BatchedSkipList list(sched, 1234, Batcher::kDefaultSetup,
-                         ApplyPolicy::SortMerge);
+    BatchedSkipList list(sched, 1234);
     Xoshiro256 rng(5);
     for (int i = 0; i < 8192; ++i) {
       list.insert_unsafe(static_cast<Key>(rng.next()));
@@ -794,7 +754,7 @@ std::uint64_t skiplist_insert_span_tasks(std::size_t n) {
 
 std::uint64_t wbtree_insert_span_tasks(std::size_t n) {
   return measure_bop_span_tasks([&](rt::Scheduler& sched) {
-    BatchedWBTree tree(sched, Batcher::kDefaultSetup, ApplyPolicy::SortMerge);
+    BatchedWBTree tree(sched);
     Xoshiro256 rng(5);
     for (int i = 0; i < 8192; ++i) {
       tree.insert_unsafe(static_cast<Key>(rng.next()));
@@ -815,8 +775,8 @@ TEST(BopSpanTasks, SkipListSortMergeBatchSpanIsSublinear) {
   const std::uint64_t span_large = skiplist_insert_span_tasks(4096);
   EXPECT_GT(span_small, 0u);
   // 8x the batch must cost far less than 8x the task-count span (polylog
-  // growth), and the large batch's span must be way below its size (the
-  // legacy serial splice is the one task that did all n keys).
+  // growth), and the large batch's span must be way below its size (a
+  // serial splice would be one task doing all n keys).
   EXPECT_LT(span_large, 4 * span_small)
       << "span_small=" << span_small << " span_large=" << span_large;
   EXPECT_LT(span_large, 4096u / 8u)

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdint>
 #include <set>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -15,6 +16,7 @@
 #include "ds/batched_skiplist.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
+#include "service/shard_router.hpp"
 #include "support/backoff.hpp"
 
 namespace batcher {
@@ -155,6 +157,41 @@ TEST(ExternalDomain, ServeStartedAfterOpsWerePublished) {
   sched.run([&] { domain.serve(); });
   external.join();
   EXPECT_EQ(counter.value_unsafe(), 1);
+}
+
+TEST(ExternalDomain, ZeroMaxThreadsThrowsInvalidArgument) {
+  // A domain with no submission slots could never serve anything, and its
+  // pump's rotating slot scan would divide by zero: refuse it up front, in
+  // every build.
+  rt::Scheduler sched(2);
+  ds::BatchedCounter counter(sched);
+  EXPECT_THROW(ExternalDomain(sched, counter, /*max_threads=*/0),
+               std::invalid_argument);
+  // A valid domain still works afterwards.
+  ExternalDomain domain(sched, counter, 1);
+  std::thread external([&] {
+    ds::BatchedCounter::Op op;
+    op.delta = 2;
+    domain.submit(0, op);
+    EXPECT_EQ(op.result, 2);
+    domain.shutdown();
+  });
+  sched.run([&] { domain.serve(); });
+  external.join();
+  EXPECT_EQ(counter.value_unsafe(), 2);
+}
+
+TEST(ExternalDomain, ShardRouterZeroMaxThreadsThrowsFromAddGroup) {
+  // The same option through the sharded front-end: add_group throws and
+  // leaves the router without the group or any of its shards.
+  rt::Scheduler sched(2);
+  ds::BatchedCounter a(sched), b(sched);
+  service::ShardRouter::Options opt;
+  opt.max_threads = 0;
+  service::ShardRouter router(sched, opt);
+  EXPECT_THROW(router.add_group({&a, &b}), std::invalid_argument);
+  EXPECT_EQ(router.num_groups(), 0u);
+  EXPECT_EQ(router.num_shards(), 0u);
 }
 
 // --- Deadlines & cancellation (DESIGN.md §13) -------------------------------

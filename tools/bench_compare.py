@@ -18,6 +18,9 @@ how CI gates only the deterministic simulation metrics (sim_makespan/*)
 while throughput metrics, which are machine-dependent, stay informational.
 --report-only prints the full comparison and always exits 0.
 
+A report that lists one metric name twice is rejected (exit status 1,
+naming the metric): matching is by name, so duplicates cannot be compared.
+
 A gated baseline metric that is absent from the candidate report fails the
 gate with a message naming the missing metric(s): losing a metric is a
 coverage regression even when nothing got slower.
@@ -64,6 +67,11 @@ def load_metrics(path):
         report = json.load(f)
     metrics = {}
     for m in report.get("metrics", []):
+        if m["name"] in metrics:
+            # A repeated name would silently hide every copy but the last
+            # from the comparison.
+            sys.exit(f"error: {path}: metric {m['name']!r} appears more "
+                     f"than once")
         metrics[m["name"]] = (m["value"], m.get("unit", ""))
     empty_hists = synthesize_histogram_metrics(report, metrics)
     synthesize_span_growth_metrics(report, metrics)

@@ -379,6 +379,20 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("missing from candidate", out)
         self.assertIn("span_growth/wbtree_sortmerge", out)
 
+    def test_duplicate_metric_name_fails_naming_the_metric(self):
+        # Matching is by name, so a repeated name used to keep only its last
+        # copy and leave the others uncompared.  Either side, even with
+        # --report-only, must fail and name the metric.
+        dup = [("minserts_per_s/BAT/P=1", 100, "1/s"),
+               ("minserts_per_s/BAT/P=1", 900, "1/s")]
+        one = [("minserts_per_s/BAT/P=1", 100, "1/s")]
+        for base, cand, extra in ((dup, one, ()), (one, dup, ()),
+                                  (one, dup, ("--report-only",))):
+            with self.assertRaises(SystemExit) as ctx:
+                self.run_compare(base, cand, extra_args=extra)
+            self.assertIn("minserts_per_s/BAT/P=1", str(ctx.exception.code))
+            self.assertIn("more than once", str(ctx.exception.code))
+
     def test_new_metric_is_informational(self):
         code, out = self.run_compare(
             [("sim_makespan/A/P=4", 100, "steps")],
