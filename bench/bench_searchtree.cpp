@@ -1,18 +1,17 @@
 // T1-tree — the paper's §3 search-tree example: n parallel inserts into the
-// batched 2-3 tree, with the Θ(n lg n / P) optimality check and the
-// simulated speedup curve.
+// batched weight-balanced tree, with the Θ(n lg n / P) optimality check and
+// the simulated speedup curve (the simulator's SearchTreeCostModel charges
+// the paper's 2-3 tree costs; §6 admits any batched tree with bulk updates).
 //
-// The batched weight-balanced tree runs the same lanes, and a span-profile
-// section drives its run_batch directly at controlled batch sizes so the
-// report carries per-size s(n) histograms of its sort-merge BOP (gated
-// downstream as span_growth/wbtree_sortmerge).
+// A span-profile section drives the tree's run_batch directly at controlled
+// batch sizes so the report carries per-size s(n) histograms of its
+// sort-merge BOP (gated downstream as span_growth/wbtree_sortmerge).
 #include <cmath>
 #include <cstdio>
 #include <set>
 #include <vector>
 
 #include "bench/common.hpp"
-#include "ds/batched_tree23.hpp"
 #include "ds/batched_wbtree.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
@@ -26,25 +25,6 @@ using batcher::Stopwatch;
 using batcher::ds::BatchedWBTree;
 
 const std::int64_t kN = bench::scaled(100000, 10000);
-
-double run_batched_tree(unsigned workers, double* mean_batch,
-                        bench::Report& report) {
-  batcher::rt::Scheduler sched(workers);
-  batcher::ds::BatchedTree23 tree(sched);
-  const auto keys = bench::random_keys(kN, 5);
-  Stopwatch sw;
-  sched.run([&] {
-    batcher::rt::parallel_for(
-        0, kN,
-        [&](std::int64_t i) { tree.insert(keys[static_cast<std::size_t>(i)]); },
-        /*grain=*/16);
-  });
-  const double secs = sw.elapsed_seconds();
-  const batcher::BatcherStats stats = tree.batcher().stats();
-  report.batcher_stats("BATCHED-2-3/P=" + std::to_string(workers), stats);
-  *mean_batch = stats.mean_batch_size();
-  return secs;
-}
 
 double run_batched_wbtree(unsigned workers, double* mean_batch,
                           bench::Report& report) {
@@ -130,8 +110,8 @@ void span_profile(batcher::rt::Scheduler& sched, BatchedWBTree& tree,
 
 int main() {
   bench::header("T1-tree",
-                "n parallel inserts into the batched 2-3 tree (paper §3 "
-                "search-tree example)");
+                "n parallel inserts into the batched weight-balanced tree "
+                "(paper §3 search-tree example)");
   bench::note("%lld random keys; sequential std::set shown for scale",
               static_cast<long long>(kN));
   bench::Report report("searchtree");
@@ -159,17 +139,11 @@ int main() {
   }
   for (unsigned p : {1u, 2u, 4u, 8u}) {
     double mean_batch = 0;
-    const double secs = run_batched_tree(p, &mean_batch, report);
-    bench::row("%-6u %-18s %12.3f %12.2f", p, "BATCHED-2-3",
-               bench::mops(kN, secs), mean_batch);
-    report.metric("mins_per_s/BATCHED-2-3/P=" + std::to_string(p),
-                  bench::mops(kN, secs) * 1e6, "1/s");
-    double wb_mean_batch = 0;
-    const double wb_secs = run_batched_wbtree(p, &wb_mean_batch, report);
+    const double secs = run_batched_wbtree(p, &mean_batch, report);
     bench::row("%-6u %-18s %12.3f %12.2f", p, "BATCHED-WB",
-               bench::mops(kN, wb_secs), wb_mean_batch);
+               bench::mops(kN, secs), mean_batch);
     report.metric("mins_per_s/BATCHED-WB/P=" + std::to_string(p),
-                  bench::mops(kN, wb_secs) * 1e6, "1/s");
+                  bench::mops(kN, secs) * 1e6, "1/s");
   }
 
   bench::note("simulated processors: makespan vs the Theta(n lg n / P) "

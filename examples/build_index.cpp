@@ -1,20 +1,23 @@
 // build_index: the paper's §3 search-tree scenario as an application — a
-// parallel job builds a sorted index (batched 2-3 tree) over a stream of
-// record keys, then answers membership queries, all through implicit
-// batching.
+// parallel job builds a sorted index (batched weight-balanced tree) over a
+// stream of record keys, then answers membership queries, all through
+// implicit batching.
 //
 //   $ ./build_index [records] [workers]
 //
 // The interesting part: the indexing loop and the query loop are ordinary
-// parallel code; the 2-3 tree implementation handles whole batches (sort,
-// partition, split) with zero concurrency control, yet the program gets the
-// paper's Θ(n lg n / P) aggregate bound.
+// parallel code; the tree handles whole batches (sort the batch's keys, then
+// merge them in by splitting at each root key and joining the two halves
+// back together, both sides in parallel) with zero concurrency control, yet
+// the program gets the paper's Θ(n lg n / P) aggregate bound.  Exits non-zero
+// if the finished index fails its balance/order check or a query answers
+// wrong.
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <vector>
 
-#include "ds/batched_tree23.hpp"
+#include "ds/batched_wbtree.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/rng.hpp"
@@ -25,7 +28,7 @@ int main(int argc, char** argv) {
   const unsigned workers = argc > 2 ? static_cast<unsigned>(std::atoi(argv[2])) : 4;
 
   batcher::rt::Scheduler scheduler(workers);
-  batcher::ds::BatchedTree23 index(scheduler);
+  batcher::ds::BatchedWBTree index(scheduler);
 
   // Synthesize record keys (e.g., document ids extracted by parallel parsing).
   batcher::Xoshiro256 rng(2024);
@@ -58,6 +61,8 @@ int main(int argc, char** argv) {
     hits = hit_count.load();
   });
   const double query_secs = sw.elapsed_seconds();
+  const std::int64_t expected_hits = (records + 1) / 2;
+  const bool invariants_ok = index.check_invariants();
 
   std::printf("build_index: %lld records on %u workers\n",
               static_cast<long long>(records), workers);
@@ -67,12 +72,11 @@ int main(int argc, char** argv) {
               static_cast<double>(records) / build_secs / 1e6);
   std::printf("  queries           : %.3fs, %lld hits (expected %lld)\n",
               query_secs, static_cast<long long>(hits),
-              static_cast<long long>((records + 1) / 2));
-  std::printf("  invariants        : %s\n",
-              index.check_invariants() ? "OK" : "VIOLATED");
+              static_cast<long long>(expected_hits));
+  std::printf("  invariants        : %s\n", invariants_ok ? "OK" : "VIOLATED");
   const auto stats = index.batcher().stats();
   std::printf("  batches           : %llu (mean size %.2f)\n",
               static_cast<unsigned long long>(stats.batches_launched),
               stats.mean_batch_size());
-  return index.check_invariants() ? 0 : 1;
+  return invariants_ok && hits == expected_hits ? 0 : 1;
 }

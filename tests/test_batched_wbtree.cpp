@@ -107,6 +107,50 @@ TEST_P(WBTreeParam, RankSelectRangeCount) {
   sched.run([&] { EXPECT_FALSE(tree.select(500).has_value()); });
 }
 
+TEST_P(WBTreeParam, IdenticalKeysInOneStorm) {
+  // The paper's motivating hard case: P identical keys inserted at once.
+  rt::Scheduler sched(GetParam());
+  BatchedWBTree tree(sched);
+  std::atomic<int> winners{0};
+  sched.run([&] {
+    rt::parallel_for(0, 64, [&](std::int64_t) {
+      if (tree.insert(7)) winners.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(winners.load(), 1);
+  EXPECT_EQ(tree.size_unsafe(), 1u);
+  EXPECT_TRUE(tree.check_invariants());
+}
+
+TEST_P(WBTreeParam, MixedWorkloadDisjointKeyRanges) {
+  // Contains, erase and insert on disjoint keys share batches, so one batch
+  // can run all three phases of the BOP.
+  rt::Scheduler sched(GetParam());
+  BatchedWBTree tree(sched);
+  for (Key k = 0; k < 600; ++k) tree.insert_unsafe(k);
+  std::atomic<std::int64_t> contains_hits{0}, erase_hits{0}, inserts{0};
+  sched.run([&] {
+    rt::parallel_for(0, 600, [&](std::int64_t i) {
+      switch (i % 3) {
+        case 0:
+          if (tree.contains(i)) contains_hits.fetch_add(1);
+          break;
+        case 1:
+          if (tree.erase(i)) erase_hits.fetch_add(1);
+          break;
+        default:
+          if (tree.insert(i + 10000)) inserts.fetch_add(1);
+          break;
+      }
+    });
+  });
+  EXPECT_EQ(contains_hits.load(), 200);
+  EXPECT_EQ(erase_hits.load(), 200);
+  EXPECT_EQ(inserts.load(), 200);
+  EXPECT_EQ(tree.size_unsafe(), 600u);
+  EXPECT_TRUE(tree.check_invariants());
+}
+
 INSTANTIATE_TEST_SUITE_P(WorkerCounts, WBTreeParam,
                          ::testing::Values(1u, 2u, 4u, 8u));
 
@@ -207,7 +251,7 @@ TEST(BatchedWBTree, ReadsSeePreBatchState) {
   EXPECT_TRUE(tree.contains_unsafe(20));
 }
 
-TEST(BatchedWBTree, AgreesWithTree23OnRandomWorkload) {
+TEST(BatchedWBTree, AgreesWithStdSetOnRandomWorkload) {
   rt::Scheduler sched(4);
   BatchedWBTree wb(sched);
   Xoshiro256 rng(12);

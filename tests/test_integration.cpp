@@ -13,7 +13,7 @@
 #include "ds/batched_counter.hpp"
 #include "ds/batched_pq.hpp"
 #include "ds/batched_skiplist.hpp"
-#include "ds/batched_tree23.hpp"
+#include "ds/batched_wbtree.hpp"
 #include "runtime/api.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/rng.hpp"
@@ -24,7 +24,7 @@ namespace {
 using ds::BatchedCounter;
 using ds::BatchedPriorityQueue;
 using ds::BatchedSkipList;
-using ds::BatchedTree23;
+using ds::BatchedWBTree;
 
 // The paper's §7 workload shape: pre-populate, then parallel-loop inserts
 // with 100 keys per BATCHIFY record.  Verified against the sequential list.
@@ -85,7 +85,7 @@ TEST(Integration, TwoStructuresOneProgram) {
 TEST(Integration, SkipListAndTreeAgreeOnRandomWorkload) {
   rt::Scheduler sched(4);
   BatchedSkipList list(sched);
-  BatchedTree23 tree(sched);
+  BatchedWBTree tree(sched);
   constexpr std::int64_t kN = 2000;
   Xoshiro256 rng(77);
   std::vector<std::int64_t> keys(kN);

@@ -20,7 +20,6 @@
 #include "ds/batched_queue.hpp"
 #include "ds/batched_skiplist.hpp"
 #include "ds/batched_stack.hpp"
-#include "ds/batched_tree23.hpp"
 #include "ds/batched_wbtree.hpp"
 #include "audit/audit_session.hpp"
 #include "audit/schedule_perturber.hpp"
@@ -34,7 +33,7 @@ namespace {
 
 class PropertySeed : public ::testing::TestWithParam<std::uint64_t> {};
 
-// --- Batched set structures (skip list and 2-3 tree) -----------------------
+// --- Batched set structures (skip list and weight-balanced tree) -----------
 //
 // Phase-aware reference: contains sees the pre-batch set, then erases apply
 // (first occurrence of each key wins), then inserts (first occurrence wins).
@@ -98,10 +97,6 @@ void run_set_property(std::uint64_t seed) {
 
 TEST_P(PropertySeed, SkipListMatchesPhaseAwareSetModel) {
   run_set_property<ds::BatchedSkipList>(GetParam());
-}
-
-TEST_P(PropertySeed, Tree23MatchesPhaseAwareSetModel) {
-  run_set_property<ds::BatchedTree23>(GetParam());
 }
 
 TEST_P(PropertySeed, WBTreeMatchesPhaseAwareSetModel) {
@@ -540,10 +535,10 @@ TEST_P(PropertySeed, PQPerturbedTapeMatchesSequentialReference) {
   }
 }
 
-TEST_P(PropertySeed, Tree23PerturbedTapeMatchesSequentialReference) {
+TEST_P(PropertySeed, WBTreePerturbedTapeMatchesSequentialReference) {
   const std::uint64_t seed = GetParam() + 7000;
   Xoshiro256 rng(seed);
-  using Kind = ds::BatchedTree23::Kind;
+  using Kind = ds::BatchedWBTree::Kind;
 
   // Pregenerate rounds of pairwise-distinct keys with one op each.
   struct RoundOp {
@@ -572,7 +567,7 @@ TEST_P(PropertySeed, Tree23PerturbedTapeMatchesSequentialReference) {
   std::set<std::int64_t> model;
   {
     rt::Scheduler sched(4);
-    ds::BatchedTree23 tree(sched);
+    ds::BatchedWBTree tree(sched);
     sched.run([&] {
       for (std::size_t r = 0; r < tape.size(); ++r) {
         const auto& round = tape[r];
@@ -586,6 +581,7 @@ TEST_P(PropertySeed, Tree23PerturbedTapeMatchesSequentialReference) {
                 case Kind::Insert: res = tree.insert(op.key); break;
                 case Kind::Erase: res = tree.erase(op.key); break;
                 case Kind::Contains: res = tree.contains(op.key); break;
+                default: break;  // the tape draws only the three above
               }
               got[static_cast<std::size_t>(i)] = res ? 1 : 0;
             },
