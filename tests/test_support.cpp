@@ -1,7 +1,10 @@
 // Unit tests for the support layer: RNG, arena, padding, timing.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
 
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
 #include <set>
 #include <thread>
 #include <vector>
@@ -128,6 +131,63 @@ TEST(Arena, MoveTransfersOwnership) {
   Arena c;
   c = std::move(b);
   EXPECT_EQ(*p, 41);
+}
+
+// Blocks are 2 MiB; requests larger than that get a block of their own,
+// contiguous and writable end to end, and the arena keeps serving small
+// requests afterwards.
+TEST(Arena, AllocationsLargerThanAHugePage) {
+  constexpr std::size_t kBig = 5 * Arena::kHugePage + 123;
+  Arena arena;
+  char* small = static_cast<char*>(arena.allocate(40));
+  char* big = static_cast<char*>(arena.allocate(kBig));
+  char* after = static_cast<char*>(arena.allocate(40));
+  for (char* p : {small, big, after}) {
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
+  }
+  std::memset(big, 0x5a, kBig);
+  std::memset(small, 1, 40);
+  std::memset(after, 2, 40);
+  EXPECT_EQ(big[0], 0x5a);
+  EXPECT_EQ(big[kBig - 1], 0x5a);
+  EXPECT_TRUE(small + 48 <= big || big + kBig <= small);
+  EXPECT_TRUE(after + 48 <= big || big + kBig <= after);
+}
+
+// Odd-sized requests keep 16-byte alignment when they spill into a fresh
+// block, and never straddle two blocks.
+TEST(Arena, AlignedAcrossBlockBoundaries) {
+  constexpr std::size_t kSize = 4099;  // rounds up to 4112
+  Arena arena;
+  char* prev = static_cast<char*>(arena.allocate(kSize));
+  int boundaries = 0;
+  for (int i = 0; i < 1500; ++i) {  // ~6 MiB: at least two fresh blocks
+    char* p = static_cast<char*>(arena.allocate(kSize));
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
+    if (p != prev + 4112) {
+      ++boundaries;
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % Arena::kHugePage, 0u);
+    }
+    std::memset(p, i & 0x7f, kSize);
+    prev = p;
+  }
+  EXPECT_GE(boundaries, 2);
+}
+
+// Move-assignment hands the source's blocks over and unmaps the target's
+// old ones: their pages are no longer mapped (mincore reports ENOMEM).
+TEST(Arena, MoveAssignmentReleasesOldBlocks) {
+  Arena target;
+  char* old_block = static_cast<char*>(target.allocate(64));
+  Arena source;
+  int* kept = source.create<int>(7);
+  unsigned char resident = 0;
+  ASSERT_EQ(::mincore(old_block, 4096, &resident), 0);
+  target = std::move(source);
+  errno = 0;
+  EXPECT_EQ(::mincore(old_block, 4096, &resident), -1);
+  EXPECT_EQ(errno, ENOMEM);
+  EXPECT_EQ(*kept, 7);  // the moved-in block is still live
 }
 
 TEST(Stopwatch, MonotonicNonNegative) {

@@ -18,6 +18,11 @@ how CI gates only the deterministic simulation metrics (sim_makespan/*)
 while throughput metrics, which are machine-dependent, stay informational.
 --report-only prints the full comparison and always exits 0.
 
+A --metric prefix that matches no gateable baseline row fails the gate,
+naming the prefix: a row whose unit has no direction (e.g. "ratio") is
+informational, so a prefix over only such rows would compare nothing and
+pass forever.  Gate deterministic unitless rows with --exact instead.
+
 A report that lists one metric name twice is rejected (exit status 1,
 naming the metric): matching is by name, so duplicates cannot be compared.
 
@@ -152,14 +157,16 @@ def synthesize_span_growth_metrics(report, metrics):
         metrics[f"span_growth/{label}"] = (largest / smallest, "x")
 
 
+def directional(unit):
+    """True when the unit says which way is better, so a row can gate."""
+    return unit in HIGHER_BETTER_UNITS or unit in LOWER_BETTER_UNITS
+
+
 def classify(name, base, cand, unit, tolerance):
     """Returns (status, rel) with status in {better, same, worse, info}."""
-    if unit in HIGHER_BETTER_UNITS:
-        sign = 1.0
-    elif unit in LOWER_BETTER_UNITS:
-        sign = -1.0
-    else:
+    if not directional(unit):
         return "info", 0.0
+    sign = 1.0 if unit in HIGHER_BETTER_UNITS else -1.0
     if base == 0:
         return ("same", 0.0) if cand == 0 else ("info", 0.0)
     rel = (cand - base) / abs(base)  # >0: candidate larger
@@ -253,6 +260,14 @@ def main():
     if args.report_only:
         return 0
     failed = False
+    for prefix in args.metric:
+        if not any(name.startswith(prefix)
+                   and (exact(name) or directional(unit))
+                   for name, (_, unit) in base.items()):
+            print(f"FAIL: --metric {prefix!r} matches no gateable baseline "
+                  f"row (none, or only rows whose unit has no direction); "
+                  f"use --exact for deterministic unitless rows")
+            failed = True
     if missing_gated:
         # Name every absent metric: a gated baseline metric the candidate no
         # longer reports is a coverage regression, not a slowdown, and the

@@ -208,8 +208,10 @@ class BenchCompareTest(unittest.TestCase):
         # --metric gate is set alongside it that covers it... --metric
         # defaults to gate-everything, so pass an unrelated --metric too.
         code, out = self.run_compare(
-            [("external/ops_shed", 8, "count"), ("mops/x", 10.0, "1/s")],
-            [("external/ops_shed", 8, "count"), ("mops/x", 1.0, "1/s")],
+            [("external/ops_shed", 8, "count"), ("mops/x", 10.0, "1/s"),
+             ("sim_makespan/A/P=4", 100, "steps")],
+            [("external/ops_shed", 8, "count"), ("mops/x", 1.0, "1/s"),
+             ("sim_makespan/A/P=4", 100, "steps")],
             extra_args=["--exact", "external/ops_",
                         "--metric", "sim_makespan/"])
         self.assertEqual(code, 0)
@@ -217,8 +219,9 @@ class BenchCompareTest(unittest.TestCase):
 
     def test_exact_metric_missing_fails(self):
         code, out = self.run_compare(
-            [("external/ops_shed", 8, "count")],
-            [],
+            [("external/ops_shed", 8, "count"),
+             ("sim_makespan/A/P=4", 100, "steps")],
+            [("sim_makespan/A/P=4", 100, "steps")],
             extra_args=["--exact", "external/ops_",
                         "--metric", "sim_makespan/"])
         self.assertEqual(code, 1)
@@ -231,6 +234,36 @@ class BenchCompareTest(unittest.TestCase):
             [("external/ops_shed", 9, "count")],
             extra_args=["--exact", "external/ops_", "--report-only"])
         self.assertEqual(code, 0)
+
+    def test_metric_prefix_over_unitless_rows_fails_naming_it(self):
+        # "ratio" has no direction, so these rows classify as info and a
+        # --metric gate over them would compare nothing, even when the value
+        # doubles.  That must fail loudly, naming the prefix...
+        ratio = [("sim_makespan_over_opt/P=4", 3.0, "ratio")]
+        doubled = [("sim_makespan_over_opt/P=4", 6.0, "ratio")]
+        for cand in (ratio, doubled):
+            code, out = self.run_compare(
+                ratio, cand,
+                extra_args=["--metric", "sim_makespan_over_opt/",
+                            "--tolerance", "0.02"])
+            self.assertEqual(code, 1)
+            self.assertIn("'sim_makespan_over_opt/' matches no gateable", out)
+        # ...as must a prefix that matches no baseline row at all.
+        code, out = self.run_compare(
+            [("mops/x", 1.0, "1/s")], [("mops/x", 1.0, "1/s")],
+            extra_args=["--metric", "sim_makespan/"])
+        self.assertEqual(code, 1)
+        self.assertIn("'sim_makespan/' matches no gateable", out)
+        # --exact gates the same rows, and a --metric prefix whose rows are
+        # all --exact is not inert.
+        for extra in (["--exact", "sim_makespan_over_opt/"],
+                      ["--exact", "sim_makespan_over_opt/",
+                       "--metric", "sim_makespan_over_opt/"]):
+            code, out = self.run_compare(ratio, ratio, extra_args=extra)
+            self.assertEqual(code, 0)
+            code, out = self.run_compare(ratio, doubled, extra_args=extra)
+            self.assertEqual(code, 1)
+            self.assertIn("DIFF", out)
 
     def test_histogram_percentiles_are_synthesized_and_gateable(self):
         # Trace histogram percentiles become hist/<name>/p50_ns rows with
