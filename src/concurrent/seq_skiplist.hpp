@@ -1,10 +1,13 @@
 // Sequential skip list — the paper's §7 baseline ("SEQ"): plain inserts with
 // no concurrency control of any kind.  Also used as the reference model in
-// property tests.
+// property tests.  Its nodes have ds::BatchedSkipList's layout, links that
+// cache their target's key, so SEQ-vs-BAT rows compare the same nodes.
 #pragma once
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
-#include <vector>
+#include <limits>
 
 #include "support/arena.hpp"
 #include "support/rng.hpp"
@@ -17,7 +20,7 @@ class SeqSkipList {
 
   explicit SeqSkipList(std::uint64_t seed = 0xdecafbadULL) : rng_(seed) {
     head_ = allocate(0, kMaxHeight);
-    for (int l = 0; l < kMaxHeight; ++l) head_->next[l] = nullptr;
+    for (int l = 0; l < kMaxHeight; ++l) head_->next[l] = Link{nullptr, kNoKey};
   }
 
   SeqSkipList(const SeqSkipList&) = delete;
@@ -26,14 +29,14 @@ class SeqSkipList {
   bool insert(Key key) {
     Node* preds[kMaxHeight];
     find_preds(key, preds);
-    Node* hit = preds[0]->next[0];
-    if (hit != nullptr && hit->key == key) return false;
+    const Link hit = preds[0]->next[0];
+    if (hit.node != nullptr && hit.key == key) return false;
     const int h = random_height();
     Node* node = allocate(key, h);
     if (h > height_) height_ = h;
     for (int l = 0; l < h; ++l) {
       node->next[l] = preds[l]->next[l];
-      preds[l]->next[l] = node;
+      preds[l]->next[l] = Link{node, key};
     }
     ++size_;
     return true;
@@ -42,23 +45,23 @@ class SeqSkipList {
   bool contains(Key key) const {
     const Node* cur = head_;
     for (int l = height_ - 1; l >= 0; --l) {
-      while (cur->next[l] != nullptr && cur->next[l]->key < key) {
-        cur = cur->next[l];
+      while (cur->next[l].node != nullptr && cur->next[l].key < key) {
+        cur = cur->next[l].node;
       }
     }
-    const Node* candidate = cur->next[0];
-    return candidate != nullptr && candidate->key == key;
+    const Link candidate = cur->next[0];
+    return candidate.node != nullptr && candidate.key == key;
   }
 
   bool erase(Key key) {
     Node* preds[kMaxHeight];
     find_preds(key, preds);
-    Node* hit = preds[0]->next[0];
+    Node* hit = preds[0]->next[0].node;
     if (hit == nullptr || hit->key != key) return false;
     for (int l = 0; l < hit->height; ++l) {
-      if (preds[l]->next[l] == hit) preds[l]->next[l] = hit->next[l];
+      if (preds[l]->next[l].node == hit) preds[l]->next[l] = hit->next[l];
     }
-    while (height_ > 1 && head_->next[height_ - 1] == nullptr) --height_;
+    while (height_ > 1 && head_->next[height_ - 1].node == nullptr) --height_;
     --size_;
     return true;
   }
@@ -67,35 +70,40 @@ class SeqSkipList {
 
  private:
   static constexpr int kMaxHeight = 24;
+  static constexpr Key kNoKey = std::numeric_limits<Key>::max();
+
+  struct Node;
+  struct Link {
+    Node* node;
+    Key key;  // node->key, or kNoKey when node is null
+  };
 
   struct Node {
     Key key;
     int height;
-    Node* next[1];  // flexible
+    Link next[1];  // flexible
   };
 
   Node* allocate(Key key, int height) {
     const std::size_t bytes =
-        sizeof(Node) + sizeof(Node*) * static_cast<std::size_t>(height - 1);
+        sizeof(Node) + sizeof(Link) * static_cast<std::size_t>(height - 1);
     Node* n = static_cast<Node*>(arena_.allocate(bytes));
     n->key = key;
     n->height = height;
     return n;
   }
 
+  // Geometric with p = 1/2, capped, as in ds::BatchedSkipList.
   int random_height() {
-    const std::uint64_t bits = rng_.next();
-    int h = 1;
-    while (h < kMaxHeight && (bits >> (h - 1) & 1u)) ++h;
-    return h;
+    return std::min(kMaxHeight, 1 + std::countr_one(rng_.next()));
   }
 
   void find_preds(Key key, Node** preds) {
     Node* cur = head_;
     for (int l = kMaxHeight - 1; l >= 0; --l) {
       if (l < height_) {
-        while (cur->next[l] != nullptr && cur->next[l]->key < key) {
-          cur = cur->next[l];
+        while (cur->next[l].node != nullptr && cur->next[l].key < key) {
+          cur = cur->next[l].node;
         }
       }
       preds[l] = cur;

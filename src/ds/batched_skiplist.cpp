@@ -1,6 +1,7 @@
 #include "ds/batched_skiplist.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 
 #include "parallel/prefix_sum.hpp"
@@ -31,7 +32,7 @@ BatchedSkipList::BatchedSkipList(rt::Scheduler& sched, std::uint64_t seed,
                                  Batcher::SetupPolicy setup)
     : rng_(seed), batcher_(sched, *this, setup) {
   head_ = allocate_node(/*key=*/0, kMaxHeight);
-  for (int l = 0; l < kMaxHeight; ++l) head_->next[l] = nullptr;
+  for (int l = 0; l < kMaxHeight; ++l) head_->next[l] = Link{nullptr, kNoKey};
 }
 
 // Out of line on purpose: it keeps insert_unsafe's setup loop fast.  Over
@@ -41,7 +42,7 @@ BatchedSkipList::BatchedSkipList(rt::Scheduler& sched, std::uint64_t seed,
 [[gnu::noinline]] BatchedSkipList::Node* BatchedSkipList::allocate_node(
     Key key, int height) {
   const std::size_t bytes =
-      sizeof(Node) + sizeof(Node*) * static_cast<std::size_t>(height - 1);
+      sizeof(Node) + sizeof(Link) * static_cast<std::size_t>(height - 1);
   Node* node = static_cast<Node*>(arena_.allocate(bytes));
   node->key = key;
   node->height = height;
@@ -52,34 +53,33 @@ BatchedSkipList::BatchedSkipList(rt::Scheduler& sched, std::uint64_t seed,
 int BatchedSkipList::height_from_bits(std::uint64_t bits) {
   // Geometric with p = 1/2, capped.  Counting trailing ones of a uniform
   // word gives the same distribution in O(1).
-  int h = 1;
-  while (h < kMaxHeight && (bits >> (h - 1) & 1u)) ++h;
-  return h;
+  return std::min(kMaxHeight, 1 + std::countr_one(bits));
 }
 
 int BatchedSkipList::random_height() { return height_from_bits(rng_.next()); }
 
-void BatchedSkipList::find_preds(Key key, Node** preds, Node** succs) const {
+void BatchedSkipList::find_preds(Key key, Node** preds) const {
   Node* cur = head_;
   for (int l = kMaxHeight - 1; l >= 0; --l) {
     if (l < height_) {
-      while (cur->next[l] != nullptr && cur->next[l]->key < key) {
-        cur = cur->next[l];
+      // The null test is redundant with kNoKey, but without it the
+      // ascending setup loop of insert_unsafe ran 10-18% slower
+      // (EXPERIMENTS.md BOP-links).
+      while (cur->next[l].node != nullptr && cur->next[l].key < key) {
+        cur = cur->next[l].node;
       }
     }
     preds[l] = cur;
-    if (succs != nullptr) succs[l] = cur->next[l];
   }
 }
 
 void BatchedSkipList::find_preds_group(int n, const Key* keys,
                                        Node** const* preds,
-                                       Node** const* succs) const {
-  // Per descent: `cur` is the predecessor found so far at `level` and `nxt`
-  // its successor there, already prefetched; level < 0 means done.
+                                       Link* const* succs) const {
+  // Per descent: `cur` is the predecessor found so far at `level`, and its
+  // link there is already prefetched; level < 0 means done.
   struct Descent {
     Node* cur;
-    Node* nxt;
     int level;
   };
   Descent d[kGroup] = {};
@@ -89,24 +89,28 @@ void BatchedSkipList::find_preds_group(int n, const Key* keys,
       preds[i][l] = head_;
       if (succs != nullptr) succs[i][l] = head_->next[l];
     }
-    d[i] = Descent{head_, head_->next[top], top};
+    d[i] = Descent{head_, top};
   }
+  // One turn of a descent takes the down steps its current node decides on
+  // its own, then one step right, which is the turn's only new node.
   for (int live = n; live > 0;) {
     for (int i = 0; i < n; ++i) {
       Descent& s = d[i];
       if (s.level < 0) continue;
-      if (s.nxt != nullptr && s.nxt->key < keys[i]) {
-        s.cur = s.nxt;
-      } else {
+      for (;;) {
+        const Link link = s.cur->next[s.level];
+        if (link.key < keys[i]) {
+          s.cur = link.node;
+          __builtin_prefetch(&s.cur->next[s.level]);
+          break;
+        }
         preds[i][s.level] = s.cur;
-        if (succs != nullptr) succs[i][s.level] = s.nxt;
+        if (succs != nullptr) succs[i][s.level] = link;
         if (--s.level < 0) {
           --live;
-          continue;
+          break;
         }
       }
-      s.nxt = s.cur->next[s.level];
-      if (s.nxt != nullptr) __builtin_prefetch(s.nxt);
     }
   }
 }
@@ -178,14 +182,14 @@ std::int64_t BatchedSkipList::range_count(Key lo, Key hi) {
 __attribute__((aligned(64))) bool BatchedSkipList::insert_unsafe(Key key) {
   Node* preds[kMaxHeight];
   find_preds(key, preds);
-  Node* hit = preds[0]->next[0];
-  if (hit != nullptr && hit->key == key) return false;
+  const Link hit = preds[0]->next[0];
+  if (hit.node != nullptr && hit.key == key) return false;
   const int h = random_height();
   Node* node = allocate_node(key, h);
   if (h > height_) height_ = h;
   for (int l = 0; l < h; ++l) {
     node->next[l] = preds[l]->next[l];
-    preds[l]->next[l] = node;
+    preds[l]->next[l] = Link{node, key};
   }
   ++size_;
   return true;
@@ -194,32 +198,46 @@ __attribute__((aligned(64))) bool BatchedSkipList::insert_unsafe(Key key) {
 bool BatchedSkipList::contains_unsafe(Key key) const {
   Node* preds[kMaxHeight];
   find_preds(key, preds);
-  const Node* hit = preds[0]->next[0];
-  return hit != nullptr && hit->key == key;
+  const Link hit = preds[0]->next[0];
+  return hit.node != nullptr && hit.key == key;
 }
 
 bool BatchedSkipList::check_invariants() const {
+  // Every reachable link, the head's included, caches its target's key.
+  auto exact = [](const Link& link) {
+    return link.key == (link.node != nullptr ? link.node->key : kNoKey);
+  };
+  for (int l = 0; l < kMaxHeight; ++l) {
+    if (!exact(head_->next[l])) return false;
+  }
   // Level 0 sorted and counted.
   std::size_t count = 0;
-  for (Node* n = head_->next[0]; n != nullptr; n = n->next[0]) {
+  for (Node* n = head_->next[0].node; n != nullptr; n = n->next[0].node) {
     ++count;
-    if (n->next[0] != nullptr && !(n->key < n->next[0]->key)) return false;
+    for (int l = 0; l < n->height; ++l) {
+      if (!exact(n->next[l])) return false;
+    }
+    if (n->next[0].node != nullptr && !(n->key < n->next[0].key)) return false;
   }
   if (count != size_) return false;
   // height_ is tight: its top level is in use (unless the list is empty)
   // and every level above it is empty.
-  if (height_ > 1 && head_->next[height_ - 1] == nullptr) return false;
+  if (height_ > 1 && head_->next[height_ - 1].node == nullptr) return false;
   for (int l = height_; l < kMaxHeight; ++l) {
-    if (head_->next[l] != nullptr) return false;
+    if (head_->next[l].node != nullptr) return false;
   }
   // Every upper level is a sorted sublist of level 0.
   for (int l = 1; l < height_; ++l) {
-    Node* lower = head_->next[0];
-    for (Node* n = head_->next[l]; n != nullptr; n = n->next[l]) {
+    Node* lower = head_->next[0].node;
+    for (Node* n = head_->next[l].node; n != nullptr; n = n->next[l].node) {
       if (n->height <= l) return false;
-      while (lower != nullptr && lower->key < n->key) lower = lower->next[0];
+      while (lower != nullptr && lower->key < n->key) {
+        lower = lower->next[0].node;
+      }
       if (lower != n) return false;
-      if (n->next[l] != nullptr && !(n->key < n->next[l]->key)) return false;
+      if (n->next[l].node != nullptr && !(n->key < n->next[l].key)) {
+        return false;
+      }
     }
   }
   return true;
@@ -274,20 +292,21 @@ void BatchedSkipList::apply_reads(std::vector<Op*>& ops) {
         find_preds_group(count, probes, preds, nullptr);
         for (int i = 0; i < count; ++i) {
           Op* op = group[i];
-          // First node with key >= probe, on the pre-batch list.
-          const Node* succ = preds[i][0]->next[0];
+          // Link to the first node with key >= probe, on the pre-batch list.
+          // Its cached key answers the point queries without loading it.
+          const Link succ = preds[i][0]->next[0];
           switch (op->kind) {
             case Kind::Contains:
-              op->found = succ != nullptr && succ->key == op->key;
+              op->found = succ.node != nullptr && succ.key == op->key;
               break;
             case Kind::Successor:
-              op->out_key = succ != nullptr ? std::optional<Key>(succ->key)
-                                            : std::nullopt;
+              op->out_key = succ.node != nullptr ? std::optional<Key>(succ.key)
+                                                 : std::nullopt;
               break;
             case Kind::RangeCount: {
               std::int64_t c = 0;
-              for (const Node* it = succ; it != nullptr && it->key <= op->key2;
-                   it = it->next[0]) {
+              for (Link it = succ; it.node != nullptr && it.key <= op->key2;
+                   it = it.node->next[0]) {
                 ++c;
               }
               op->count = c;
@@ -332,7 +351,7 @@ void BatchedSkipList::search_sorted(std::span<Op* const> ops,
         std::size_t at[kGroup] = {};
         Key probes[kGroup] = {};
         Node** preds[kGroup] = {};
-        Node** succs[kGroup] = {};
+        Link* succs[kGroup] = {};
         for (std::size_t idx = lo; idx < hi; ++idx) {
           const std::uint32_t src = keys[idx].ws;
           Op* op = src < ops.size() ? ops[src] : nullptr;
@@ -353,17 +372,17 @@ void BatchedSkipList::search_sorted(std::span<Op* const> ops,
         }
         find_preds_group(n, probes, preds, inserting ? succs : nullptr);
         // The list is untouched until step 3, so preds[0]->next[0] is the
-        // exact pre-batch candidate.
+        // exact pre-batch candidate, and its cached key decides presence.
         for (int i = 0; i < n; ++i) {
           const std::size_t idx = at[i];
           const std::uint32_t src = keys[idx].ws;
           Op* op = src < ops.size() ? ops[src] : nullptr;
-          Node* hit = preds[i][0]->next[0];
-          const bool present = hit != nullptr && hit->key == probes[i];
+          const Link hit = preds[i][0]->next[0];
+          const bool present = hit.node != nullptr && hit.key == probes[i];
           if (inserting) {
             flag_scratch_[idx] = present ? 0 : 1;
           } else {
-            node_scratch_[idx] = present ? hit : nullptr;
+            node_scratch_[idx] = present ? hit.node : nullptr;
           }
           // An insert succeeds on a miss, an erase on a hit.
           if (op != nullptr) op->found = inserting ? !present : present;
@@ -482,7 +501,7 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
       /*grain=*/1);
 
   size_ -= static_cast<std::size_t>(m);
-  while (height_ > 1 && head_->next[height_ - 1] == nullptr) --height_;
+  while (height_ > 1 && head_->next[height_ - 1].node == nullptr) --height_;
 }
 
 void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
@@ -553,7 +572,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
             mix64(batch_seed + static_cast<std::uint64_t>(j)));
         height_scratch_[ji] = h;
         const std::size_t bytes =
-            sizeof(Node) + sizeof(Node*) * static_cast<std::size_t>(h - 1);
+            sizeof(Node) + sizeof(Link) * static_cast<std::size_t>(h - 1);
         offset_scratch_[ji] = (bytes + 15) & ~std::size_t{15};
       },
       /*grain=*/64);
@@ -577,9 +596,10 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
   // Step 3 (divide-and-conquer splice): levels are pointer-disjoint, so they
   // run in parallel; within a level, new nodes sharing a pre-batch
   // predecessor form a contiguous segment in key order.  Every node writes
-  // its own forward pointer (next new node in its segment, else the shared
-  // predecessor's pre-batch successor) and each segment head rewires the
-  // predecessor — one flat parallel_for, each location written once.
+  // its own forward link (next new node in its segment, else the shared
+  // predecessor's pre-batch link) and each segment head rewires the
+  // predecessor — one flat parallel_for, each location written once.  The
+  // new nodes' keys come from `keys`, not from the nodes.
   // Levels above the tallest new node are empty; skip them.
   const int max_new_h = static_cast<int>(par::reduce<std::int64_t>(
       m,
@@ -614,12 +634,15 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
               Node* node = node_scratch_[at_level[ti]];
               Node* pred = pred_of(t);
               if (t + 1 < sz && pred_of(t + 1) == pred) {
-                node->next[l] = node_scratch_[at_level[ti + 1]];
+                const std::uint32_t after = at_level[ti + 1];
+                node->next[l] = Link{node_scratch_[after],
+                                     keys[live_index_[after]].key};
               } else {
                 node->next[l] = succ_scratch_[idx * kMaxHeight + l];
               }
               if (t == 0 || pred_of(t - 1) != pred) {
-                pred->next[l] = node;  // segment head rewires the predecessor
+                // The segment head rewires the predecessor.
+                pred->next[l] = Link{node, keys[idx].key};
               }
             },
             /*grain=*/16);
@@ -628,7 +651,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
 
   size_ += static_cast<std::size_t>(m);
   for (int l = height_; l < kMaxHeight; ++l) {
-    if (head_->next[l] != nullptr) height_ = l + 1;
+    if (head_->next[l].node != nullptr) height_ = l + 1;
   }
 }
 

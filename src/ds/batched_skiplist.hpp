@@ -8,10 +8,12 @@
 //      successors, in interleaved groups of 8 (kGroup) consecutive sorted
 //      keys.  The searches are read-only and independent, but each is a
 //      chain of dependent loads through a list far larger than the cache, so
-//      a lone descent mostly waits on misses.  One task advances its group's
-//      descents round-robin, a node step each, prefetching the node every
-//      descent reads next, so the group's misses overlap instead of queuing;
-//      groups run in parallel;
+//      a lone descent mostly waits on misses.  Every forward link caches its
+//      target's key, so a descent decides "right or down" from the node it
+//      is on and misses only when it moves right.  One task advances its
+//      group's descents round-robin, a move right each, prefetching the link
+//      every descent reads next, so the group's misses overlap instead of
+//      queuing; groups run in parallel;
 //   3. splice the new nodes into the main list with a per-level
 //      divide-and-conquer splice: new nodes sharing a pre-batch level-l
 //      predecessor form a contiguous segment; segments with distinct
@@ -33,6 +35,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -95,8 +98,9 @@ class BatchedSkipList final : public BatchedStructure {
   int height_unsafe() const { return height_; }
 
   // Structural self-check: sorted level-0 chain, every level a sublist of
-  // the level below, size consistent, and height_unsafe() exactly the number
-  // of non-empty levels (1 when empty).  For tests.
+  // the level below, every link's cached key equal to its target's (kNoKey
+  // when null, head included), size consistent, and height_unsafe() exactly
+  // the number of non-empty levels (1 when empty).  For tests.
   bool check_invariants() const;
 
   Batcher& batcher() { return batcher_; }
@@ -112,30 +116,41 @@ class BatchedSkipList final : public BatchedStructure {
   // eight (DESIGN.md §16).
   static constexpr int kGroup = 8;
 
+  // The key a null link caches.  A descent moves right only on
+  // `link.key < probe`, which kNoKey never satisfies, and a hit also needs a
+  // non-null `node`, so a real key equal to kNoKey is still found.
+  static constexpr Key kNoKey = std::numeric_limits<Key>::max();
+
+  struct Node;
+  // A forward link with a copy of its target's key (kNoKey when null).
+  // Whoever writes a link writes both fields, so the copy is always exact.
+  struct Link {
+    Node* node;
+    Key key;
+  };
+
   struct Node {
     Key key;
     int height;
     bool erased;    // set when unlinked; lets a later erase in the same batch
                     // detect that its recorded predecessor is dead
-    Node* next[1];  // flexible: `height` pointers, allocated by arena
+    Link next[1];   // flexible: `height` links, allocated by arena
   };
 
   Node* allocate_node(Key key, int height);
   int random_height();
   static int height_from_bits(std::uint64_t bits);
   // Per-level predecessors of `key` (strictly smaller), highest levels first
-  // filled with head_.  `preds` must have room for kMaxHeight entries.  If
-  // `succs` is non-null it receives each predecessor's pre-batch level-l
-  // successor (preds[l]->next[l] at search time).
+  // filled with head_.  `preds` must have room for kMaxHeight entries.
   // Scalar form, for the unsafe API only; every BOP search goes through
   // find_preds_group.
-  void find_preds(Key key, Node** preds, Node** succs = nullptr) const;
+  void find_preds(Key key, Node** preds) const;
   // find_preds for n <= kGroup keys at once: descent i fills preds[i] (and
   // succs[i] if `succs` is non-null).  The descents advance round-robin one
-  // node step at a time, each step prefetching the node its descent reads
-  // next, so their cache and TLB misses overlap.
+  // move right at a time, each prefetching the link its descent reads next,
+  // so their cache and TLB misses overlap.
   void find_preds_group(int n, const Key* keys, Node** const* preds,
-                        Node** const* succs) const;
+                        Link* const* succs) const;
   // Step 2 for a sorted insert (`inserting`) or erase batch: per-level
   // predecessors of the first occurrence of each distinct key, plus its
   // result.  `ops[keys[i].ws]` is the record owning
@@ -166,7 +181,7 @@ class BatchedSkipList final : public BatchedStructure {
   std::vector<prep::Tagged<Key>> key_scratch_;  // the phase's sorted keys
   std::vector<std::uint32_t> key_offsets_;
   std::vector<Node*> pred_scratch_;
-  std::vector<Node*> succ_scratch_;
+  std::vector<Link> succ_scratch_;
   std::vector<std::uint8_t> flag_scratch_;
   std::vector<std::uint32_t> live_index_;     // packed fresh/victim positions
   std::vector<Node*> node_scratch_;           // new nodes / victims, key order

@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <set>
 #include <vector>
@@ -30,6 +31,34 @@ TEST(BatchedSkipList, UnsafeInsertAndContains) {
   EXPECT_TRUE(list.contains_unsafe(9));
   EXPECT_FALSE(list.contains_unsafe(4));
   EXPECT_EQ(list.size_unsafe(), 3u);
+  EXPECT_TRUE(list.check_invariants());
+}
+
+// Every forward link caches its target's key, and a null link caches
+// INT64_MAX.  A stored INT64_MAX must still be told apart from the end of the
+// list, and INT64_MIN from the head.
+TEST(BatchedSkipList, UnsafeApiHandlesExtremeKeys) {
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  rt::Scheduler sched(1);
+  BatchedSkipList list(sched);
+  EXPECT_FALSE(list.contains_unsafe(kMax));
+  EXPECT_FALSE(list.contains_unsafe(kMin));
+  EXPECT_TRUE(list.insert_unsafe(kMax - 1));
+  EXPECT_FALSE(list.contains_unsafe(kMax));
+  EXPECT_TRUE(list.check_invariants());
+  EXPECT_TRUE(list.insert_unsafe(kMax));
+  EXPECT_TRUE(list.insert_unsafe(kMin));
+  EXPECT_FALSE(list.insert_unsafe(kMax));
+  EXPECT_FALSE(list.insert_unsafe(kMin));
+  EXPECT_FALSE(list.insert_unsafe(kMax - 1));
+  for (Key k = -40; k <= 40; ++k) list.insert_unsafe(k);
+  EXPECT_TRUE(list.contains_unsafe(kMax));
+  EXPECT_TRUE(list.contains_unsafe(kMax - 1));
+  EXPECT_TRUE(list.contains_unsafe(kMin));
+  EXPECT_FALSE(list.contains_unsafe(kMax - 2));
+  EXPECT_FALSE(list.contains_unsafe(kMin + 1));
+  EXPECT_EQ(list.size_unsafe(), 84u);
   EXPECT_TRUE(list.check_invariants());
 }
 
@@ -564,6 +593,45 @@ TEST_P(SkipListGroupParam, ErasingTheTallLevelsLowersTheHeight) {
   }
   EXPECT_EQ(list.size_unsafe(), 0u);
   EXPECT_EQ(list.height_unsafe(), 1);
+}
+
+// The extremes of the key range, next to the INT64_MAX that a null link
+// caches: every op kind on them, in mixed batches around the group edges,
+// starting from the empty list, so each key is probed while absent, inserted
+// next to the end of the list, found, and erased.
+TEST_P(SkipListGroupParam, ExtremeKeysInMixedBatchesMatchSetModel) {
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  constexpr Key kPool[] = {kMin, kMin + 1, kMin + 2, -10, 0,
+                           10,   kMax - 2, kMax - 1, kMax};
+  constexpr Kind kKinds[] = {Kind::Insert,   Kind::MultiInsert,
+                             Kind::Contains, Kind::Erase,
+                             Kind::Successor, Kind::RangeCount};
+  rt::Scheduler sched(GetParam());
+  for (const std::size_t n : kGroupEdgeSizes) {
+    SCOPED_TRACE(testing::Message() << "batch size " << n);
+    Xoshiro256 rng(77 + n);
+    BatchedSkipList list(sched, n);
+    std::set<Key> model;
+    auto draw = [&] { return kPool[rng.next_below(std::size(kPool))]; };
+    for (int round = 0; round < 30; ++round) {
+      SCOPED_TRACE(testing::Message() << "round " << round);
+      std::vector<Rec> recs(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        Rec& r = recs[i];
+        r.kind = kKinds[(i + static_cast<std::size_t>(round)) % 6];
+        r.key = draw();
+        if (r.kind == Kind::RangeCount) {
+          r.key2 = draw();
+          if (r.key2 < r.key) std::swap(r.key, r.key2);
+        } else if (r.kind == Kind::MultiInsert) {
+          r.multi.resize(1 + rng.next_below(3));
+          for (Key& k : r.multi) k = draw();
+        }
+      }
+      ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, recs));
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Workers, SkipListGroupParam,

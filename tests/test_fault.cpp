@@ -19,6 +19,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -140,12 +141,21 @@ struct FlakyCounter final : BatchedStructure {
 
   std::atomic<int> failures_left;
   std::int64_t value = 0;  // Invariant 1: at most one BOP runs at a time
+  // Every failing BOP rethrows this one exception, which lives as long as
+  // the counter.  All ops of a failed batch rethrow the same object, and
+  // their workers read its what() concurrently.  If the object died with
+  // the last worker's reference, that worker would free it after a
+  // reference-count decrement inside the uninstrumented libstdc++, and
+  // ThreadSanitizer, blind to that ordering, would report the free as a
+  // race with another worker's what() (a false positive).
+  const std::exception_ptr failure =
+      std::make_exception_ptr(std::runtime_error("flaky BOP failed"));
 
   void run_batch(OpRecordBase* const* ops, std::size_t count) override {
     const int left = failures_left.load(std::memory_order_relaxed);
     if (left > 0) {
       failures_left.store(left - 1, std::memory_order_relaxed);
-      throw std::runtime_error("flaky BOP failed");
+      std::rethrow_exception(failure);
     }
     for (std::size_t i = 0; i < count; ++i) {
       Op* op = static_cast<Op*>(ops[i]);
