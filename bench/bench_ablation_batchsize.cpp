@@ -3,30 +3,23 @@
 // The paper launches a batch the moment any operation is pending ("this
 // decision is important for the theoretical analysis", §3).  The obvious
 // alternative is to accrue k operations before launching.  This harness
-// sweeps the accrual threshold on simulated processors, and also compares
-// the real runtime's sequential vs parallel LAUNCHBATCH setup (§4/Fig. 4,
-// §7 prototype note).
+// sweeps the accrual threshold on simulated processors.
 #include <cstdio>
 
 #include "bench/common.hpp"
-#include "ds/batched_counter.hpp"
-#include "runtime/api.hpp"
-#include "runtime/scheduler.hpp"
 #include "sim/cost_model.hpp"
 #include "sim/dag.hpp"
 #include "sim/sim_batcher.hpp"
 
 namespace {
 namespace bench = batcher::bench;
-using batcher::Stopwatch;
 using namespace batcher::sim;
 }  // namespace
 
 int main() {
   bench::header("ABL-batch",
                 "launch policy ablation: launch-immediately (paper) vs "
-                "accrue-k (simulated), and sequential vs parallel batch "
-                "setup (real)");
+                "accrue-k (simulated)");
 
   bench::Report report("ablation_batchsize");
   bench::TraceScope trace(report);
@@ -57,32 +50,6 @@ int main() {
               "accruing helps only when per-batch overhead dominates and "
               "hurts tail latency (visible at low parallelism)");
 
-  bench::note("real runtime, P=4: LAUNCHBATCH setup policy (Fig. 4)");
-  bench::row("%-12s %12s", "setup", "Mincs/s");
-  const std::int64_t kN = bench::scaled(100000, 10000);
-  report.config("n", static_cast<std::uint64_t>(kN));
-  for (auto setup : {batcher::Batcher::SetupPolicy::Sequential,
-                     batcher::Batcher::SetupPolicy::Parallel}) {
-    batcher::rt::Scheduler sched(4);
-    batcher::ds::BatchedCounter counter(sched, 0, setup);
-    Stopwatch sw;
-    sched.run([&] {
-      batcher::rt::parallel_for(0, kN,
-                                [&](std::int64_t) { counter.increment(1); },
-                                /*grain=*/64);
-    });
-    const double secs = sw.elapsed_seconds();
-    const char* label =
-        setup == batcher::Batcher::SetupPolicy::Sequential ? "SEQUENTIAL"
-                                                           : "PARALLEL";
-    bench::row("%-12s %12.3f", label, bench::mops(kN, secs));
-    report.metric(std::string("mincs_per_s/setup=") + label,
-                  bench::mops(kN, secs) * 1e6, "1/s");
-    report.batcher_stats(std::string("setup=") + label,
-                         counter.batcher().stats());
-  }
-  bench::note("paper's prototype used the sequential path for 8 cores (§7); "
-              "the parallel path matches Fig. 4 and wins for large P");
   report.write();
   std::printf("\n");
   return 0;

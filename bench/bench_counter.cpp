@@ -24,7 +24,9 @@ using batcher::Stopwatch;
 
 const std::int64_t kN = bench::scaled(200000, 20000);
 
-double run_batched(unsigned workers, bench::Report& report) {
+// Sets `mismatch` if the final count is not kN: a lost or duplicated
+// increment fails the bench, not just its printout.
+double run_batched(unsigned workers, bench::Report& report, bool& mismatch) {
   // Scheduler stats come from the destructor-time snapshot: that is the
   // flushed quiescent point at which the frame-pool identities the report
   // validator checks (frames_allocated == frames_freed) hold exactly.
@@ -41,7 +43,12 @@ double run_batched(unsigned workers, bench::Report& report) {
                                 /*grain=*/64);
     });
     secs = sw.elapsed_seconds();
-    if (counter.value_unsafe() != kN) std::printf("  !! counter mismatch\n");
+    if (counter.value_unsafe() != kN) {
+      std::printf("  !! counter mismatch (P=%u): %lld != %lld\n", workers,
+                  static_cast<long long>(counter.value_unsafe()),
+                  static_cast<long long>(kN));
+      mismatch = true;
+    }
     report.batcher_stats("BATCHED/P=" + std::to_string(workers),
                          counter.batcher().stats());
   }
@@ -72,9 +79,10 @@ int main() {
   bench::Report report("counter");
   report.config("n", static_cast<std::uint64_t>(kN));
   bench::TraceScope trace(report);
+  bool mismatch = false;
   bench::row("%-6s %-14s %12s", "P", "variant", "Mincs/s");
   for (unsigned p : {1u, 2u, 4u, 8u}) {
-    const double batched = bench::mops(kN, run_batched(p, report));
+    const double batched = bench::mops(kN, run_batched(p, report, mismatch));
     const double atomic =
         bench::mops(kN, run_threaded<batcher::conc::AtomicCounter>(p));
     const double mutex =
@@ -130,5 +138,5 @@ int main() {
               "batching overhead (cf. the skip-list/tree benches)");
   report.write();
   std::printf("\n");
-  return 0;
+  return mismatch ? 1 : 0;
 }

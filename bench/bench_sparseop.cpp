@@ -1,15 +1,10 @@
-// T5-sparseop — the sparse-operation control-path A/B (DESIGN.md §11).
+// T5-sparseop — the launch control path in the sparse-operation regime
+// (DESIGN.md §11).
 //
 // Only K=2 lanes issue batched increments while the scheduler is sized at
 // P >> K: every batch carries at most K ops, so the launch control path is
-// the dominant cost.  The Fig. 4 scan policies pay Θ(P) per launch to walk
-// the whole slot array; the announce-list policy pays O(batch).  Sweeping P
-// with the workload held fixed separates the two: announce throughput stays
-// ~flat while the scan policies degrade linearly in P.
-//
-// Reps are interleaved across policies (A/B/C, A/B/C, ...) with all three
-// schedulers alive for the whole sweep, so OS noise lands on every variant
-// evenly instead of biasing whichever ran last.
+// the dominant cost.  The announce-list collect pays O(batch) per launch, so
+// sweeping P with the workload held fixed should leave throughput ~flat.
 #include <cstdio>
 #include <string>
 
@@ -20,118 +15,82 @@
 
 namespace {
 namespace bench = batcher::bench;
-using batcher::Batcher;
 using batcher::Stopwatch;
 
 constexpr unsigned kLanes = 2;
 const std::int64_t kOpsPerLane = bench::scaled(4000, 400);
 const int kReps = bench::scaled(12, 3);
 
-const char* policy_name(Batcher::SetupPolicy policy) {
-  switch (policy) {
-    case Batcher::SetupPolicy::Sequential: return "SEQUENTIAL";
-    case Batcher::SetupPolicy::Parallel: return "PARALLEL";
-    case Batcher::SetupPolicy::Announce: return "ANNOUNCE";
-  }
-  return "?";
-}
-
-// One policy's scheduler + counter, kept alive across interleaved reps.
-struct Variant {
-  Variant(unsigned workers, Batcher::SetupPolicy policy,
-          batcher::rt::StatsSnapshot* stats_sink)
-      : policy(policy), sched(workers), counter(sched, 0, policy) {
-    sched.export_final_stats(stats_sink);
-  }
-
-  // One rep: kLanes lanes of sequential increments, the other P - kLanes
-  // workers idle — the sparse-op regime.
-  void rep() {
-    Stopwatch sw;
-    sched.run([&] {
-      batcher::rt::parallel_for(
-          0, static_cast<std::int64_t>(kLanes),
-          [&](std::int64_t) {
-            for (std::int64_t i = 0; i < kOpsPerLane; ++i) {
-              counter.increment(1);
-            }
-          },
-          /*grain=*/1);
-    });
-    seconds += sw.elapsed_seconds();
-  }
-
-  Batcher::SetupPolicy policy;
-  batcher::rt::Scheduler sched;
-  batcher::ds::BatchedCounter counter;
-  double seconds = 0.0;
-};
-
 }  // namespace
 
 int main() {
   bench::header("T5-sparseop",
                 "K=2 sparse lanes vs P-sized scheduler: announce-list "
-                "collect vs Fig. 4 scan (launch path O(batch) vs Theta(P))");
+                "collect, launch path O(batch) not Theta(P)");
   bench::Report report("sparseop");
   report.config("lanes", static_cast<std::uint64_t>(kLanes));
   report.config("ops_per_lane", static_cast<std::uint64_t>(kOpsPerLane));
   report.config("reps", static_cast<std::uint64_t>(kReps));
   bench::TraceScope trace(report);
 
-  bench::row("%-6s %-12s %12s %10s %10s %10s", "P", "policy", "ops/s",
-             "batches", "empty", "chained");
+  bool mismatch = false;
+  bench::row("%-6s %12s %10s %10s %10s", "P", "ops/s", "batches", "empty",
+             "chained");
   for (unsigned p : {4u, 8u, 16u, 32u}) {
-    // Filled when each variant's scheduler joins its workers (end of the
-    // inner scope); the per-P scheduler_stats rows — including the bound
-    // ledger's measured work/span — are emitted after that point so the
-    // frame-pool and critical-path totals are final.
-    batcher::rt::StatsSnapshot final_stats[3];
-    std::string labels[3];
+    const std::string label = "ANNOUNCE/P=" + std::to_string(p);
+    // Filled when the scheduler joins its workers (end of the inner scope);
+    // the scheduler_stats row — including the bound ledger's measured
+    // work/span — is emitted after that point so the frame-pool and
+    // critical-path totals are final.
+    batcher::rt::StatsSnapshot final_stats;
     {
-      Variant variants[] = {
-          Variant(p, Batcher::SetupPolicy::Announce, &final_stats[0]),
-          Variant(p, Batcher::SetupPolicy::Sequential, &final_stats[1]),
-          Variant(p, Batcher::SetupPolicy::Parallel, &final_stats[2]),
-      };
+      batcher::rt::Scheduler sched(p);
+      sched.export_final_stats(&final_stats);
+      batcher::ds::BatchedCounter counter(sched);
+      double seconds = 0.0;
+      // One rep: kLanes lanes of sequential increments, the other P - kLanes
+      // workers idle — the sparse-op regime.
       for (int rep = 0; rep < kReps; ++rep) {
-        for (Variant& v : variants) v.rep();
+        Stopwatch sw;
+        sched.run([&] {
+          batcher::rt::parallel_for(
+              0, static_cast<std::int64_t>(kLanes),
+              [&](std::int64_t) {
+                for (std::int64_t i = 0; i < kOpsPerLane; ++i) {
+                  counter.increment(1);
+                }
+              },
+              /*grain=*/1);
+        });
+        seconds += sw.elapsed_seconds();
       }
-      const std::int64_t total = static_cast<std::int64_t>(kLanes) *
-                                 kOpsPerLane * kReps;
-      int i = 0;
-      for (Variant& v : variants) {
-        if (v.counter.value_unsafe() != total) {
-          std::printf("  !! counter mismatch (%s)\n", policy_name(v.policy));
-        }
-        const batcher::BatcherStats st = v.counter.batcher().stats();
-        const double ops_per_s =
-            v.seconds > 0 ? static_cast<double>(total) / v.seconds : 0.0;
-        bench::row("%-6u %-12s %12.0f %10llu %10llu %10llu", p,
-                   policy_name(v.policy), ops_per_s,
-                   static_cast<unsigned long long>(st.batches_launched),
-                   static_cast<unsigned long long>(st.empty_batches),
-                   static_cast<unsigned long long>(st.chained_launches));
-        const std::string suffix = std::string("/") + policy_name(v.policy) +
-                                   "/P=" + std::to_string(p);
-        report.metric("ops_per_s" + suffix, ops_per_s, "1/s");
-        report.metric("batches_per_op" + suffix,
-                      static_cast<double>(st.batches_launched) /
-                          static_cast<double>(total));
-        report.batcher_stats(policy_name(v.policy) +
-                                 ("/P=" + std::to_string(p)),
-                             st);
-        labels[i++] = policy_name(v.policy) + ("/P=" + std::to_string(p));
+      const std::int64_t total =
+          static_cast<std::int64_t>(kLanes) * kOpsPerLane * kReps;
+      if (counter.value_unsafe() != total) {
+        std::printf("  !! counter mismatch (%s): %lld != %lld\n",
+                    label.c_str(),
+                    static_cast<long long>(counter.value_unsafe()),
+                    static_cast<long long>(total));
+        mismatch = true;
       }
+      const batcher::BatcherStats st = counter.batcher().stats();
+      const double ops_per_s =
+          seconds > 0 ? static_cast<double>(total) / seconds : 0.0;
+      bench::row("%-6u %12.0f %10llu %10llu %10llu", p, ops_per_s,
+                 static_cast<unsigned long long>(st.batches_launched),
+                 static_cast<unsigned long long>(st.empty_batches),
+                 static_cast<unsigned long long>(st.chained_launches));
+      report.metric("ops_per_s/" + label, ops_per_s, "1/s");
+      report.metric("batches_per_op/" + label,
+                    static_cast<double>(st.batches_launched) /
+                        static_cast<double>(total));
+      report.batcher_stats(label, st);
     }
-    for (int i = 0; i < 3; ++i) {
-      report.scheduler_stats(labels[i], final_stats[i]);
-    }
+    report.scheduler_stats(label, final_stats);
   }
   bench::note("announce collect touches only announced slots, so its launch "
-              "cost tracks the (tiny) batch, not P; the scan policies walk "
-              "all P slots per launch and fall behind as P grows");
+              "cost tracks the (tiny) batch, not P");
   report.write();
   std::printf("\n");
-  return 0;
+  return mismatch ? 1 : 0;
 }

@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "parallel/prefix_sum.hpp"
-#include "runtime/api.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "support/backoff.hpp"
 #include "trace/bound_ledger.hpp"
@@ -15,15 +13,10 @@ namespace hooks = rt::hooks;
 
 namespace {
 
-constexpr hooks::HookPoint edge_hook(OpStatus from) {
-  return from == OpStatus::Pending ? hooks::HookPoint::kStatusPendingToExecuting
-                                   : hooks::HookPoint::kStatusExecutingToDone;
-}
-
-// Fault-injection point for the collect paths (compiles to nothing without
+// Fault-injection point for the claim walk (compiles to nothing without
 // BATCHER_AUDIT).  Fires *before* the slot flips, so a partially collected
-// batch leaves earlier slots Executing (recovered by the BatchGuard) and the
-// faulted slot Pending (picked up by the next batch).
+// batch leaves earlier slots Executing and the faulted slot Pending; the
+// BatchGuard fails both (Batcher::fail_claimed).
 inline void maybe_inject_collect_fault() {
 #if BATCHER_AUDIT
   if (hooks::fire(hooks::test_faults().throw_in_collect)) {
@@ -34,10 +27,9 @@ inline void maybe_inject_collect_fault() {
 
 }  // namespace
 
-Batcher::Batcher(rt::Scheduler& sched, BatchedStructure& ds, SetupPolicy setup)
+Batcher::Batcher(rt::Scheduler& sched, BatchedStructure& ds)
     : sched_(sched),
       ds_(ds),
-      setup_(setup),
       trace_id_(trace::register_domain(this)) {
   const std::size_t P = sched_.num_workers();
   slots_ = std::vector<Slot>(P);
@@ -45,7 +37,6 @@ Batcher::Batcher(rt::Scheduler& sched, BatchedStructure& ds, SetupPolicy setup)
     slots_[i].owner = static_cast<unsigned>(i);
   }
   working_.resize(P, nullptr);
-  marks_.resize(P, 0);
   claimed_.resize(P, nullptr);
   chain_limit_ = P > 0 ? P : 1;
   stat_cells_.histogram = std::vector<std::atomic<std::uint64_t>>(P + 1);
@@ -93,31 +84,29 @@ void Batcher::batchify(OpRecordBase& op) {
   // on) this slot after the store, so the observer sees free->pending first.
   hooks::emit({hooks::HookPoint::kStatusFreeToPending, w->id(),
                rt::TaskKind::Core, w->current_kind(), this});
-  // The release pairs with the launcher's acquire scan: a launcher that sees
-  // `Pending` also sees the op pointer and the operation's arguments.
+  // A launcher learns of this store (and the op) through the announce push
+  // below.
   slot.status.store(OpStatus::Pending, std::memory_order_release);
 
-  if (setup_ == SetupPolicy::Announce) {
-    // Announce the slot (DESIGN.md §11): one release CAS pushes it onto the
-    // intrusive MPSC list the launcher claims wholesale.  The release — and,
-    // for slots deeper in the list, the release sequence every later push
-    // continues — pairs with the launcher's acquire exchange, so the claim
-    // walk's relaxed status/op reads are ordered after this worker's
-    // publication above.  Emitted-before-push mirrors the status hooks: an
-    // observer sees the announce before any launcher can act on it.
-    hooks::emit({hooks::HookPoint::kAnnouncePush, w->id(), rt::TaskKind::Core,
-                 w->current_kind(), this});
-    if (trace::enabled()) [[unlikely]] {
-      trace::emit(w->id(), trace::EventId::kAnnouncePush, trace_id_);
-    }
-    stat_cells_.announce_pushes.fetch_add(1, std::memory_order_relaxed);
-    Slot* head = announce_head_.load(std::memory_order_relaxed);
-    do {
-      slot.announce_next = head;
-    } while (!announce_head_.compare_exchange_weak(head, &slot,
-                                                   std::memory_order_release,
-                                                   std::memory_order_relaxed));
+  // Announce the slot (DESIGN.md §11): one release CAS pushes it onto the
+  // intrusive MPSC list the launcher claims wholesale.  The release — and,
+  // for slots deeper in the list, the release sequence every later push
+  // continues — pairs with the launcher's acquire exchange, so the claim
+  // walk's relaxed status/op reads are ordered after this worker's
+  // publication above.  Emitted-before-push mirrors the status hooks: an
+  // observer sees the announce before any launcher can act on it.
+  hooks::emit({hooks::HookPoint::kAnnouncePush, w->id(), rt::TaskKind::Core,
+               w->current_kind(), this});
+  if (trace::enabled()) [[unlikely]] {
+    trace::emit(w->id(), trace::EventId::kAnnouncePush, trace_id_);
   }
+  stat_cells_.announce_pushes.fetch_add(1, std::memory_order_relaxed);
+  Slot* head = announce_head_.load(std::memory_order_relaxed);
+  do {
+    slot.announce_next = head;
+  } while (!announce_head_.compare_exchange_weak(head, &slot,
+                                                 std::memory_order_release,
+                                                 std::memory_order_relaxed));
 
   // The trapped-worker rules of Fig. 3.
   Backoff backoff;
@@ -216,17 +205,13 @@ Batcher::BatchGuard::~BatchGuard() {
   if (!clean_) {
     // Recovery: every slot the batch collected but never completed is failed
     // with the launch error, so its trapped owner resumes (and rethrows).
-    // Always sequential — we may be on the unwind path of a parallel phase.
-    // The announce policy fails exactly the claimed list (O(batch)); the
-    // scan policies rescan the P slots for Executing ones.
+    // Only the claimed list can hold such slots, so this is O(batch).
     std::exception_ptr error =
         error_ != nullptr
             ? error_
             : std::make_exception_ptr(
                   std::runtime_error("batcher: batch launch aborted"));
-    failed_ops = b_.setup_ == SetupPolicy::Announce
-                     ? b_.fail_claimed(error)
-                     : b_.complete(/*parallel=*/false, error);
+    failed_ops = b_.fail_claimed(error);
     if (!have_count_) done = failed_ops;  // collect died before counting
   }
 
@@ -269,15 +254,13 @@ Batcher::BatchGuard::~BatchGuard() {
 
 void Batcher::launch_batch() {
   const unsigned launcher = rt::Worker::current()->id();
-  const bool parallel = setup_ == SetupPolicy::Parallel;
-  const bool announce = setup_ == SetupPolicy::Announce;
-  // Batch chaining (announce policy): each iteration is one complete launch
-  // under its own BatchGuard — per-launch stats, hooks and trace events are
-  // identical to the unchained protocol — but a clean launch that finds new
-  // announcements keeps the flag and runs the next batch immediately,
-  // skipping the reopen -> CAS storm -> relaunch round trip.  `chain`
-  // counts launches already run under this hold; the chain is bounded by
-  // chain_limit_ (default P) so one worker cannot monopolize the domain.
+  // Batch chaining: each iteration is one complete launch under its own
+  // BatchGuard — per-launch stats, hooks and trace events are identical to
+  // the unchained protocol — but a clean launch that finds new announcements
+  // keeps the flag and runs the next batch immediately, skipping the reopen
+  // -> CAS storm -> relaunch round trip.  `chain` counts launches already run
+  // under this hold; the chain is bounded by chain_limit_ (default P) so one
+  // worker cannot monopolize the domain.
   for (std::size_t chain = 0;;) {
     bool chain_again = false;
     {
@@ -290,8 +273,7 @@ void Batcher::launch_batch() {
       trace::ledger::StrandScope lscope({0, 0}, led);
       BatchGuard guard(*this, launcher);
       try {
-        const std::size_t count = announce ? collect_announce()
-                                           : collect(parallel);
+        const std::size_t count = collect();
         guard.collected(count);
         hooks::emit({hooks::HookPoint::kBatchCollected, launcher,
                      rt::TaskKind::Batch, rt::TaskKind::Batch, this, count});
@@ -302,15 +284,10 @@ void Batcher::launch_batch() {
         BATCHER_ASSERT(count <= sched_.num_workers(),
                        "Invariant 2 violated: batch larger than P");
         if (led && count > 0) [[unlikely]] {
-          // Executing status marks exactly this batch's slots (the previous
-          // batch carried all of its own to Done before the flag reopened);
-          // a Θ(P) scan is fine on a trace-gated path.
+          // The launch depends on exactly the ops it collected.
           trace::ledger::PathPoint dep;
-          for (const Slot& s : slots_) {
-            if (s.status.load(std::memory_order_relaxed) !=
-                OpStatus::Executing) {
-              continue;
-            }
+          for (std::size_t i = 0; i < count; ++i) {
+            const Slot& s = *claimed_[i];
             if (s.submit_path_ns > dep.ns) dep.ns = s.submit_path_ns;
             if (s.submit_path_tasks > dep.tasks) {
               dep.tasks = s.submit_path_tasks;
@@ -358,20 +335,16 @@ void Batcher::launch_batch() {
             trace::emit(launcher, trace::EventId::kBopDone, trace_id_,
                         static_cast<std::uint32_t>(count));
           }
-          if (announce) {
-            complete_claimed(/*error=*/nullptr);
-          } else {
-            complete(parallel, /*error=*/nullptr);
-          }
+          complete(/*error=*/nullptr);
         }
         guard.completed_cleanly();
         // Chain only off a clean launch: a failed one reopens the domain so
         // recovery semantics match the unchained path exactly.  The relaxed
         // head probe is only a hint: a stale-null miss just means the next
         // batch pays one flag round trip, and a non-null sighting cannot be
-        // spurious (only owners push; collect_announce claims whatever is
-        // really there, possibly more than we saw).
-        if (announce && chain + 1 < chain_limit_ &&
+        // spurious (only owners push; collect claims whatever is really
+        // there, possibly more than we saw).
+        if (chain + 1 < chain_limit_ &&
             announce_head_.load(std::memory_order_relaxed) != nullptr) {
           chain_again = true;
           guard.keep_flag();
@@ -397,109 +370,7 @@ void Batcher::launch_batch() {
   }
 }
 
-template <OpStatus From, OpStatus To, typename PerSlot, typename PerMiss>
-void Batcher::transition_slots(bool parallel, PerSlot&& per_slot,
-                               PerMiss&& per_miss) {
-  static_assert((From == OpStatus::Pending && To == OpStatus::Executing) ||
-                    (From == OpStatus::Executing && To == OpStatus::Done),
-                "only the launcher-owned Fig. 3 edges go through here");
-  // Pending is read with acquire (pairs with batchify's publish of the op);
-  // Done is stored with release (publishes BOP results and recorded errors).
-  constexpr std::memory_order kLoad = From == OpStatus::Pending
-                                          ? std::memory_order_acquire
-                                          : std::memory_order_relaxed;
-  constexpr std::memory_order kStore = To == OpStatus::Done
-                                           ? std::memory_order_release
-                                           : std::memory_order_relaxed;
-  auto step = [&](std::size_t i) {
-    Slot& s = slots_[i];
-    if (s.status.load(kLoad) != From) {
-      per_miss(i);
-      return;
-    }
-    // per_slot runs before the hook + store so that (a) a throw leaves the
-    // slot at `From` with the model and the real state agreeing, and (b) for
-    // the Done edge the error write precedes the release store.
-    per_slot(i, s);
-    hooks::emit({edge_hook(From), static_cast<unsigned>(i),
-                 rt::TaskKind::Batch, rt::TaskKind::Batch, this});
-    s.status.store(To, kStore);
-  };
-  const std::size_t P = slots_.size();
-  if (parallel) {
-    rt::parallel_for(
-        0, static_cast<std::int64_t>(P),
-        [&](std::int64_t i) { step(static_cast<std::size_t>(i)); },
-        /*grain=*/1);
-  } else {
-    for (std::size_t i = 0; i < P; ++i) step(i);
-  }
-}
-
-template <OpStatus From, OpStatus To, typename PerSlot>
-void Batcher::transition_slots(bool parallel, PerSlot&& per_slot) {
-  transition_slots<From, To>(parallel, static_cast<PerSlot&&>(per_slot),
-                             [](std::size_t) {});
-}
-
-std::size_t Batcher::collect(bool parallel) {
-  if (!parallel) {
-    std::size_t count = 0;
-    transition_slots<OpStatus::Pending, OpStatus::Executing>(
-        /*parallel=*/false, [&](std::size_t, Slot& s) {
-          maybe_inject_collect_fault();
-          working_[count++] = s.op;
-        });
-    return count;
-  }
-  // Fig. 4 steps 1-2: parallel status flip, then prefix-sum compaction.
-  const std::int64_t P = static_cast<std::int64_t>(slots_.size());
-  transition_slots<OpStatus::Pending, OpStatus::Executing>(
-      /*parallel=*/true,
-      [&](std::size_t i, Slot&) {
-        maybe_inject_collect_fault();
-        marks_[i] = 1;
-      },
-      [&](std::size_t i) { marks_[i] = 0; });
-  par::scan_inclusive(marks_.data(), P,
-                      [](std::uint32_t a, std::uint32_t b) { return a + b; });
-  const std::size_t count = marks_[static_cast<std::size_t>(P - 1)];
-  rt::parallel_for(
-      0, P,
-      [this](std::int64_t i) {
-        auto& s = slots_[static_cast<std::size_t>(i)];
-        // Executing status marks exactly the records this batch collected:
-        // the previous batch moved all of its records to Done — via its
-        // complete pass or its BatchGuard's recovery — before the batch flag
-        // reopened.
-        if (s.status.load(std::memory_order_relaxed) == OpStatus::Executing) {
-          working_[marks_[static_cast<std::size_t>(i)] - 1] = s.op;
-        }
-      },
-      /*grain=*/1);
-  return count;
-}
-
-std::size_t Batcher::complete(bool parallel, const std::exception_ptr& error) {
-  const bool led = trace::enabled();
-  std::atomic<std::size_t> flipped{0};  // parallel flips bump concurrently
-  transition_slots<OpStatus::Executing, OpStatus::Done>(
-      parallel, [&](std::size_t, Slot& s) {
-        if (error != nullptr) s.op->set_error(error);
-        if (led) [[unlikely]] {
-          // Whatever thread flips the slot, its current path reaches this
-          // completion node; the Done release store publishes it with the
-          // result, and the trapped owner resumes from it.
-          const trace::ledger::PathPoint path = trace::ledger::strand_now();
-          s.done_path_ns = path.ns;
-          s.done_path_tasks = path.tasks;
-        }
-        flipped.fetch_add(1, std::memory_order_relaxed);
-      });
-  return flipped.load(std::memory_order_relaxed);
-}
-
-std::size_t Batcher::collect_announce() {
+std::size_t Batcher::collect() {
   BATCHER_DASSERT(claimed_count_ == 0 && claimed_rest_ == nullptr,
                   "the previous launch's claim was fully consumed");
   hooks::emit({hooks::HookPoint::kAnnounceClaim,
@@ -531,14 +402,15 @@ std::size_t Batcher::collect_announce() {
   return count;
 }
 
-std::size_t Batcher::complete_claimed(const std::exception_ptr& error) {
-  BATCHER_DASSERT(claimed_rest_ == nullptr,
-                  "clean completion implies the claim walk finished");
+std::size_t Batcher::complete(const std::exception_ptr& error) {
   const bool led = trace::enabled();
   for (std::size_t i = 0; i < claimed_count_; ++i) {
     Slot* s = claimed_[i];
     if (error != nullptr) s->op->set_error(error);
     if (led) [[unlikely]] {
+      // The launcher's current path reaches this completion node; the Done
+      // release store publishes it with the result, and the trapped owner
+      // resumes from it.
       const trace::ledger::PathPoint path = trace::ledger::strand_now();
       s->done_path_ns = path.ns;
       s->done_path_tasks = path.tasks;
@@ -555,29 +427,15 @@ std::size_t Batcher::complete_claimed(const std::exception_ptr& error) {
 }
 
 std::size_t Batcher::fail_claimed(const std::exception_ptr& error) {
-  const bool led = trace::enabled();
   // Already-collected slots are Executing: record the error and flip them
   // to Done exactly like a clean completion would.
-  std::size_t flipped = 0;
-  for (std::size_t i = 0; i < claimed_count_; ++i) {
-    Slot* s = claimed_[i];
-    s->op->set_error(error);
-    if (led) [[unlikely]] {
-      const trace::ledger::PathPoint path = trace::ledger::strand_now();
-      s->done_path_ns = path.ns;
-      s->done_path_tasks = path.tasks;
-    }
-    hooks::emit({hooks::HookPoint::kStatusExecutingToDone, s->owner,
-                 rt::TaskKind::Batch, rt::TaskKind::Batch, this});
-    s->status.store(OpStatus::Done, std::memory_order_release);
-    ++flipped;
-  }
-  claimed_count_ = 0;
+  std::size_t flipped = complete(error);
   // A throw inside the claim walk leaves a claimed-but-uncollected tail:
   // those slots are still Pending but no longer on the announce stack, so
   // no later batch could ever pick them up — fail them here, walking the
   // legal Fig. 3 edges (pending -> executing -> done) so their trapped
   // owners resume and rethrow.
+  const bool led = trace::enabled();
   for (Slot* s = claimed_rest_; s != nullptr;) {
     // Read the link before the Done store: once Done is published the owner
     // may resume, re-announce, and overwrite announce_next.

@@ -12,21 +12,21 @@
 //
 // Failure semantics (DESIGN.md §8): LAUNCHBATCH runs under an RAII
 // BatchGuard, so on *any* exit — including a throwing BOP or a throw inside
-// the parallel collect/complete paths — every slot the batch collected is
-// flipped to done (with the error recorded in its op record), the launch
-// stats are bumped, and the batch flag reopens.  Trapped workers therefore
-// always resume: successful ops return normally, failed ops rethrow from
-// batchify, and the next batch launches as if nothing happened.
+// the claim walk — every slot the batch claimed is flipped to done (with the
+// error recorded in its op record), the launch stats are bumped, and the
+// batch flag reopens.  Trapped workers therefore always resume: successful
+// ops return normally, failed ops rethrow from batchify, and the next batch
+// launches as if nothing happened.
 //
-// Launch-path cost (DESIGN.md §11): under the default `Announce` setup
-// policy, batchify additionally pushes its slot onto an intrusive MPSC
-// announce list, and LAUNCHBATCH claims that list with a single exchange —
-// so collect, complete and recovery all cost O(batch) instead of the
-// Fig. 4 Θ(P) slot scan (which remains available via `SetupPolicy` for
-// paper fidelity and ablation).  Before reopening the batch flag, the
-// launcher chains straight into the next batch if new announcements arrived
-// during this one (bounded by `chain_limit()`, default P), skipping the
-// reopen -> CAS-storm -> relaunch round trip.
+// Launch-path cost (DESIGN.md §11): batchify pushes its slot onto an
+// intrusive MPSC announce list alongside the Pending store, and LAUNCHBATCH
+// claims that list with a single exchange — so collect, complete and
+// recovery all cost O(batch), not the Fig. 4 Θ(P) slot scan (whose
+// Θ(lg P)-span setup the simulator models as `BatcherSimConfig::
+// setup_overhead`).  Before reopening the batch flag, the launcher chains
+// straight into the next batch if new announcements arrived during this one
+// (bounded by `chain_limit()`, default P), skipping the reopen -> CAS-storm
+// -> relaunch round trip.
 //
 // Under BATCHER_AUDIT the whole protocol — batchify entry/exit, every slot
 // status transition, the batch-flag CAS, and LAUNCHBATCH entry/exit — emits
@@ -102,23 +102,7 @@ struct BatcherStats {
 
 class Batcher {
  public:
-  // How LAUNCHBATCH discovers pending operations and compacts the pending
-  // array.  `Parallel` is the paper's Fig. 4 (parallel_for + parallel prefix
-  // sums over all P slots, Θ(P) work / Θ(lg P) span); `Sequential` is the
-  // paper's own prototype simplification for small P (§7).  `Announce` is
-  // our O(batch) deviation from Fig. 4 (DESIGN.md §11): batchify pushes its
-  // slot onto an intrusive MPSC Treiber stack alongside the Pending store,
-  // and the launcher claims the whole list with one exchange — collect,
-  // complete and recovery all touch only the batch's own slots.  The scan
-  // policies remain for paper fidelity and as ablation baselines.
-  enum class SetupPolicy { Sequential, Parallel, Announce };
-
-  // Default for new domains (and the DS wrappers in src/ds): the O(batch)
-  // announce path.
-  static constexpr SetupPolicy kDefaultSetup = SetupPolicy::Announce;
-
-  Batcher(rt::Scheduler& sched, BatchedStructure& ds,
-          SetupPolicy setup = kDefaultSetup);
+  Batcher(rt::Scheduler& sched, BatchedStructure& ds);
   ~Batcher();
 
   Batcher(const Batcher&) = delete;
@@ -138,18 +122,16 @@ class Batcher {
   void batchify(OpRecordBase& op);
 
   rt::Scheduler& scheduler() const { return sched_; }
-  SetupPolicy setup_policy() const { return setup_; }
   // Trace/ledger domain id of this batcher.  Benches that drive run_batch
   // directly (span profiling) book their samples under this id so the
   // per-domain s(n) histograms line up with launcher-recorded ones.
   std::uint16_t trace_id() const { return trace_id_; }
 
-  // Batch chaining (Announce policy only): before reopening the batch flag,
-  // the launcher checks for announcements that arrived during the launch and
-  // runs the next batch under the same flag hold, up to `limit` launches per
-  // hold.  Defaults to P, which bounds one worker's consecutive holds the
-  // same way P sequential launches would.  `limit` is clamped to >= 1
-  // (1 disables chaining).
+  // Batch chaining: before reopening the batch flag, the launcher checks for
+  // announcements that arrived during the launch and runs the next batch
+  // under the same flag hold, up to `limit` launches per hold.  Defaults to
+  // P, which bounds one worker's consecutive holds the same way P sequential
+  // launches would.  `limit` is clamped to >= 1 (1 disables chaining).
   void set_chain_limit(std::size_t limit);
   std::size_t chain_limit() const { return chain_limit_; }
 
@@ -163,7 +145,7 @@ class Batcher {
     std::atomic<OpStatus> status{OpStatus::Free};
     OpRecordBase* op = nullptr;
     // This slot's worker id — the status hooks name the slot's owner, and
-    // the announce walk has no scan index to derive it from.
+    // the claim walk has no slot index to derive it from.
     unsigned owner = 0;
     // Intrusive announce-list link.  Written by the owner before its release
     // CAS on announce_head_, read by the launcher after its acquire
@@ -184,10 +166,10 @@ class Batcher {
 
   // RAII completion of one LAUNCHBATCH (DESIGN.md §8): the constructor
   // claims the launch (batches_running_, Invariant 1 check); the destructor
-  // — on every exit path, normal or unwinding — fails any slot still
-  // `Executing` (records the launch error, flips it to done), bumps the
-  // launch stats exactly once, decrements batches_running_, emits
-  // kLaunchExit, and reopens the batch flag.
+  // — on every exit path, normal or unwinding — fails every slot the launch
+  // claimed but did not complete (records the launch error, flips it to
+  // done), bumps the launch stats exactly once, decrements batches_running_,
+  // emits kLaunchExit, and reopens the batch flag.
   class BatchGuard {
    public:
     BatchGuard(Batcher& batcher, unsigned launcher);
@@ -221,53 +203,35 @@ class Batcher {
   // are recorded in the collected op records by the BatchGuard.
   void launch_batch();
 
-  // Scans all P slots; for every slot whose status is `From`, runs
-  // `per_slot(i, slot)` (which may throw — the slot is then left at `From`),
-  // emits the matching status hook, and stores `To`.  `per_miss(i)` runs for
-  // non-matching slots (the parallel collect uses it to zero its marks).
-  // Memory orders follow the protocol: Pending is read with acquire (pairs
-  // with batchify's publish), Done is stored with release (publishes BOP
-  // results and recorded errors to the trapped owner).
-  template <OpStatus From, OpStatus To, typename PerSlot, typename PerMiss>
-  void transition_slots(bool parallel, PerSlot&& per_slot, PerMiss&& per_miss);
-  template <OpStatus From, OpStatus To, typename PerSlot>
-  void transition_slots(bool parallel, PerSlot&& per_slot);
-
-  // Fig. 4 steps 1-2: flip Pending -> Executing and compact the working set.
-  std::size_t collect(bool parallel);
-  // Announce-policy collect (DESIGN.md §11): claim the announce list with
-  // one exchange and walk it, flipping Pending -> Executing and densely
-  // filling working_/claimed_.  O(batch) work, no P-slot scan.
-  std::size_t collect_announce();
-  // Flips every still-Executing slot to Done, recording `error` (may be
-  // null) in its op record first.  Returns the number of slots flipped.
-  std::size_t complete(bool parallel, const std::exception_ptr& error);
-  // Announce-policy completion: walks only claimed_[0..claimed_count_), not
-  // all P slots.  `error` as in complete().
-  std::size_t complete_claimed(const std::exception_ptr& error);
-  // Announce-policy recovery: fails exactly the claimed list — the already-
-  // collected slots (Executing) and, after a throw inside the claim walk,
-  // the claimed-but-uncollected remainder (still Pending, but off the
-  // announce stack, so no later batch could ever pick them up).
+  // LAUNCHBATCH collect (DESIGN.md §11): claim the announce list with one
+  // exchange and walk it, flipping Pending -> Executing and densely filling
+  // working_/claimed_.  O(batch) work, no P-slot scan.
+  std::size_t collect();
+  // Flips the collected slots claimed_[0..claimed_count_) to Done, recording
+  // `error` (may be null) in each op record first.  Returns the number of
+  // slots flipped.
+  std::size_t complete(const std::exception_ptr& error);
+  // Recovery: fails exactly the claimed list — the already-collected slots
+  // (Executing) and, after a throw inside the claim walk, the claimed-but-
+  // uncollected remainder (still Pending, but off the announce stack, so no
+  // later batch could ever pick them up).
   std::size_t fail_claimed(const std::exception_ptr& error);
 
   rt::Scheduler& sched_;
   BatchedStructure& ds_;
-  const SetupPolicy setup_;
   // Small id naming this domain in 16-byte trace records (src/trace);
   // registered for the Batcher's lifetime.
   const std::uint16_t trace_id_;
 
   std::vector<Slot> slots_;                  // the pending array (size P)
   std::vector<OpRecordBase*> working_;       // the working set (size <= P)
-  std::vector<std::uint32_t> marks_;         // prefix-sum scratch (size P)
 
   alignas(kCacheLineSize) std::atomic<std::uint32_t> batch_flag_{0};
   std::atomic<std::int32_t> batches_running_{0};  // Invariant 1 check
 
-  // Announce-list head (Announce policy).  Owners push with a release CAS;
-  // the launcher claims the whole list with exchange(nullptr, acquire).
-  // Push-only + whole-list claim means no ABA window.
+  // Announce-list head.  Owners push with a release CAS; the launcher claims
+  // the whole list with exchange(nullptr, acquire).  Push-only + whole-list
+  // claim means no ABA window.
   alignas(kCacheLineSize) std::atomic<Slot*> announce_head_{nullptr};
   // Launcher-private bookkeeping for the current launch (valid only under
   // the batch flag): the slots this launch flipped to Executing, and — while

@@ -26,11 +26,10 @@ class BatchedCounter final : public BatchedStructure {
     std::int64_t result = 0;
   };
 
-  explicit BatchedCounter(rt::Scheduler& sched, std::int64_t initial = 0,
-                          Batcher::SetupPolicy setup = Batcher::kDefaultSetup)
+  explicit BatchedCounter(rt::Scheduler& sched, std::int64_t initial = 0)
       : value_(initial),
         scratch_(sched.num_workers()),
-        batcher_(sched, *this, setup) {}
+        batcher_(sched, *this) {}
 
   // Blocking operation for the algorithm programmer: adds `delta`, returns
   // the post-increment value.  Implicitly batched.

@@ -21,8 +21,8 @@ std::uint64_t mix(std::uint64_t x) {
 }
 }  // namespace
 
-BatchedHashMap::BatchedHashMap(rt::Scheduler& sched, Batcher::SetupPolicy setup)
-    : buckets_(64), batcher_(sched, *this, setup) {}
+BatchedHashMap::BatchedHashMap(rt::Scheduler& sched)
+    : buckets_(64), batcher_(sched, *this) {}
 
 std::size_t BatchedHashMap::bucket_of(Key key, std::size_t nbuckets) const {
   return static_cast<std::size_t>(mix(static_cast<std::uint64_t>(key))) &

@@ -36,8 +36,7 @@ class BatchedHashMap final : public BatchedStructure {
     bool found = false;            // Erase hit
   };
 
-  explicit BatchedHashMap(rt::Scheduler& sched,
-                          Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
+  explicit BatchedHashMap(rt::Scheduler& sched);
 
   BatchedHashMap(const BatchedHashMap&) = delete;
   BatchedHashMap& operator=(const BatchedHashMap&) = delete;

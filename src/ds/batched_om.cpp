@@ -8,9 +8,8 @@
 
 namespace batcher::ds {
 
-BatchedOrderMaintenance::BatchedOrderMaintenance(rt::Scheduler& sched,
-                                                 Batcher::SetupPolicy setup)
-    : batcher_(sched, *this, setup) {
+BatchedOrderMaintenance::BatchedOrderMaintenance(rt::Scheduler& sched)
+    : batcher_(sched, *this) {
   // The base element sits at label 0 with no neighbours.
   elements_.push_back(Element{0, kInvalidHandle, kInvalidHandle});
 }

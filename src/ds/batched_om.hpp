@@ -45,9 +45,7 @@ class BatchedOrderMaintenance final : public BatchedStructure {
     bool before = false;              // Precedes result
   };
 
-  explicit BatchedOrderMaintenance(
-      rt::Scheduler& sched,
-      Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
+  explicit BatchedOrderMaintenance(rt::Scheduler& sched);
 
   BatchedOrderMaintenance(const BatchedOrderMaintenance&) = delete;
   BatchedOrderMaintenance& operator=(const BatchedOrderMaintenance&) = delete;

@@ -8,9 +8,8 @@
 
 namespace batcher::ds {
 
-BatchedPriorityQueue::BatchedPriorityQueue(rt::Scheduler& sched,
-                                           Batcher::SetupPolicy setup)
-    : batcher_(sched, *this, setup) {}
+BatchedPriorityQueue::BatchedPriorityQueue(rt::Scheduler& sched)
+    : batcher_(sched, *this) {}
 
 BatchedPriorityQueue::Node* BatchedPriorityQueue::make_node(Key key) {
   Node* n;

@@ -33,9 +33,7 @@ class BatchedPriorityQueue final : public BatchedStructure {
     std::optional<Key> out;     // ExtractMin result
   };
 
-  explicit BatchedPriorityQueue(
-      rt::Scheduler& sched,
-      Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
+  explicit BatchedPriorityQueue(rt::Scheduler& sched);
 
   BatchedPriorityQueue(const BatchedPriorityQueue&) = delete;
   BatchedPriorityQueue& operator=(const BatchedPriorityQueue&) = delete;

@@ -34,9 +34,7 @@ class BatchedQueue final : public BatchedStructure {
     std::optional<T> out;  // Dequeue result
   };
 
-  explicit BatchedQueue(rt::Scheduler& sched,
-                        Batcher::SetupPolicy setup = Batcher::kDefaultSetup)
-      : batcher_(sched, *this, setup) {
+  explicit BatchedQueue(rt::Scheduler& sched) : batcher_(sched, *this) {
     table_.resize(kInitialCapacity);
   }
 

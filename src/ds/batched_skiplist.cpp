@@ -28,9 +28,8 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-BatchedSkipList::BatchedSkipList(rt::Scheduler& sched, std::uint64_t seed,
-                                 Batcher::SetupPolicy setup)
-    : rng_(seed), batcher_(sched, *this, setup) {
+BatchedSkipList::BatchedSkipList(rt::Scheduler& sched, std::uint64_t seed)
+    : rng_(seed), batcher_(sched, *this) {
   head_ = allocate_node(/*key=*/0, kMaxHeight);
   for (int l = 0; l < kMaxHeight; ++l) head_->next[l] = Link{nullptr, kNoKey};
 }

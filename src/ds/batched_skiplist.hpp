@@ -74,8 +74,7 @@ class BatchedSkipList final : public BatchedStructure {
   };
 
   explicit BatchedSkipList(rt::Scheduler& sched,
-                           std::uint64_t seed = 0xdecafbadULL,
-                           Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
+                           std::uint64_t seed = 0xdecafbadULL);
 
   BatchedSkipList(const BatchedSkipList&) = delete;
   BatchedSkipList& operator=(const BatchedSkipList&) = delete;

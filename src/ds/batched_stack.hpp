@@ -35,9 +35,7 @@ class BatchedStack final : public BatchedStructure {
     std::optional<T> out;    // result for Pop
   };
 
-  explicit BatchedStack(rt::Scheduler& sched,
-                        Batcher::SetupPolicy setup = Batcher::kDefaultSetup)
-      : batcher_(sched, *this, setup) {
+  explicit BatchedStack(rt::Scheduler& sched) : batcher_(sched, *this) {
     table_.resize(kInitialCapacity);
   }
 

@@ -26,8 +26,8 @@ using TaggedKey = prep::Tagged<BatchedWBTree::Key>;
 
 }  // namespace
 
-BatchedWBTree::BatchedWBTree(rt::Scheduler& sched, Batcher::SetupPolicy setup)
-    : arenas_(sched.num_workers() + 1), batcher_(sched, *this, setup) {}
+BatchedWBTree::BatchedWBTree(rt::Scheduler& sched)
+    : arenas_(sched.num_workers() + 1), batcher_(sched, *this) {}
 
 batcher::Arena& BatchedWBTree::local_arena() {
   const rt::Worker* w = rt::current_worker();

@@ -57,8 +57,7 @@ class BatchedWBTree final : public BatchedStructure {
     std::optional<Key> out_key;       // Select result
   };
 
-  explicit BatchedWBTree(rt::Scheduler& sched,
-                         Batcher::SetupPolicy setup = Batcher::kDefaultSetup);
+  explicit BatchedWBTree(rt::Scheduler& sched);
 
   BatchedWBTree(const BatchedWBTree&) = delete;
   BatchedWBTree& operator=(const BatchedWBTree&) = delete;

@@ -369,13 +369,7 @@ TEST(AuditedLive, SweepObservesThousandDistinctSchedulesCleanly) {
     session.reseed(seed);
     {
       rt::Scheduler sched(kWorkers);
-      // Rotate the batch-setup policy so the sweep audits the announce-list
-      // protocol (§11) as well as both Fig. 4 scan variants.
-      const Batcher::SetupPolicy policy =
-          seed % 2 == 0 ? Batcher::SetupPolicy::Announce
-                        : (seed % 4 == 1 ? Batcher::SetupPolicy::Sequential
-                                         : Batcher::SetupPolicy::Parallel);
-      ds::BatchedCounter counter(sched, 0, policy);
+      ds::BatchedCounter counter(sched);
       switch (seed % 3) {
         case 0:
           sched.run([&] {

@@ -14,16 +14,27 @@
 namespace batcher::ds {
 namespace {
 
+// The second axis is the launcher's chain limit (DESIGN.md §11): `Off` runs
+// one launch per flag hold, `Short` at most two, `Full` the default P.
+enum class Chain { Off, Short, Full };
+
 class CounterTest
-    : public ::testing::TestWithParam<std::tuple<unsigned, Batcher::SetupPolicy>> {
+    : public ::testing::TestWithParam<std::tuple<unsigned, Chain>> {
  protected:
   unsigned workers() const { return std::get<0>(GetParam()); }
-  Batcher::SetupPolicy setup() const { return std::get<1>(GetParam()); }
+  static void set_chain(BatchedCounter& counter) {
+    switch (std::get<1>(GetParam())) {
+      case Chain::Off: counter.batcher().set_chain_limit(1); break;
+      case Chain::Short: counter.batcher().set_chain_limit(2); break;
+      case Chain::Full: break;
+    }
+  }
 };
 
 TEST_P(CounterTest, FinalValueIsSumOfDeltas) {
   rt::Scheduler sched(workers());
-  BatchedCounter counter(sched, /*initial=*/100, setup());
+  BatchedCounter counter(sched, /*initial=*/100);
+  set_chain(counter);
   constexpr std::int64_t kN = 3000;
   sched.run([&] {
     rt::parallel_for(0, kN, [&](std::int64_t i) { counter.increment(i); });
@@ -36,7 +47,8 @@ TEST_P(CounterTest, ResultsAreLinearizable) {
   // results form a permutation — exactly the linearizability argument the
   // paper makes for the prefix-sums BOP.
   rt::Scheduler sched(workers());
-  BatchedCounter counter(sched, 0, setup());
+  BatchedCounter counter(sched);
+  set_chain(counter);
   constexpr std::int64_t kN = 2000;
   std::vector<std::int64_t> seen(kN, -1);
   sched.run([&] {
@@ -52,7 +64,8 @@ TEST_P(CounterTest, ResultsAreLinearizable) {
 
 TEST_P(CounterTest, NegativeDeltasAndReads) {
   rt::Scheduler sched(workers());
-  BatchedCounter counter(sched, 0, setup());
+  BatchedCounter counter(sched);
+  set_chain(counter);
   std::atomic<std::int64_t> read_sum{0};
   sched.run([&] {
     rt::parallel_for(0, 1000, [&](std::int64_t i) {
@@ -71,9 +84,8 @@ TEST_P(CounterTest, NegativeDeltasAndReads) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, CounterTest,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Values(Batcher::SetupPolicy::Sequential,
-                                         Batcher::SetupPolicy::Parallel,
-                                         Batcher::SetupPolicy::Announce)));
+                       ::testing::Values(Chain::Off, Chain::Short,
+                                         Chain::Full)));
 
 TEST(BatchedCounter, RunBatchDirectMatchesFigure2) {
   // Drive BOP directly with a hand-built batch, mimicking Fig. 2 exactly.

@@ -52,15 +52,29 @@ class ProbeStructure final : public BatchedStructure {
   std::size_t max_allowed_;
 };
 
+// The second axis is the launcher's chain limit (DESIGN.md §11): `Off` runs
+// one launch per flag hold, `Short` at most two, `Full` the default P.  The
+// invariants below must hold whether or not a launcher chains.
+enum class Chain { Off, Short, Full };
+
 class BatcherTest
-    : public ::testing::TestWithParam<std::tuple<unsigned, Batcher::SetupPolicy>> {
+    : public ::testing::TestWithParam<std::tuple<unsigned, Chain>> {
+ protected:
+  static void set_chain(Batcher& batcher) {
+    switch (std::get<1>(GetParam())) {
+      case Chain::Off: batcher.set_chain_limit(1); break;
+      case Chain::Short: batcher.set_chain_limit(2); break;
+      case Chain::Full: break;
+    }
+  }
 };
 
 TEST_P(BatcherTest, EveryOperationProcessedExactlyOnce) {
   const unsigned P = std::get<0>(GetParam());
   rt::Scheduler sched(P);
   ProbeStructure probe(P);
-  Batcher batcher(sched, probe, std::get<1>(GetParam()));
+  Batcher batcher(sched, probe);
+  set_chain(batcher);
 
   constexpr std::int64_t kN = 2000;
   std::vector<std::int64_t> results(kN, -1);
@@ -79,6 +93,7 @@ TEST_P(BatcherTest, EveryOperationProcessedExactlyOnce) {
   }
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.ops_processed, static_cast<std::uint64_t>(kN));
+  EXPECT_EQ(stats.announce_pushes, stats.ops_processed);  // one per batchify
   EXPECT_EQ(stats.batches_launched,
             static_cast<std::uint64_t>(probe.batches_.load()) +
                 stats.empty_batches);
@@ -89,7 +104,8 @@ TEST_P(BatcherTest, SequentialCallerMakesSingletonBatches) {
   const unsigned P = std::get<0>(GetParam());
   rt::Scheduler sched(P);
   ProbeStructure probe(P);
-  Batcher batcher(sched, probe, std::get<1>(GetParam()));
+  Batcher batcher(sched, probe);
+  set_chain(batcher);
 
   sched.run([&] {
     for (std::int64_t i = 0; i < 50; ++i) {
@@ -108,7 +124,8 @@ TEST_P(BatcherTest, HistogramAccountsForAllBatches) {
   const unsigned P = std::get<0>(GetParam());
   rt::Scheduler sched(P);
   ProbeStructure probe(P);
-  Batcher batcher(sched, probe, std::get<1>(GetParam()));
+  Batcher batcher(sched, probe);
+  set_chain(batcher);
 
   sched.run([&] {
     rt::parallel_for(0, 500, [&](std::int64_t i) {
@@ -132,9 +149,8 @@ TEST_P(BatcherTest, HistogramAccountsForAllBatches) {
 INSTANTIATE_TEST_SUITE_P(
     Configs, BatcherTest,
     ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
-                       ::testing::Values(Batcher::SetupPolicy::Sequential,
-                                         Batcher::SetupPolicy::Parallel,
-                                         Batcher::SetupPolicy::Announce)));
+                       ::testing::Values(Chain::Off, Chain::Short,
+                                         Chain::Full)));
 
 TEST(Batcher, TwoIndependentDomains) {
   // Two data structures batch independently; ops interleave freely.
@@ -294,7 +310,7 @@ TEST(AnnounceChaining, SlowBopProducesChainedLaunches) {
   constexpr unsigned P = 8;
   rt::Scheduler sched(P);
   YieldingProbe probe;
-  Batcher batcher(sched, probe, Batcher::SetupPolicy::Announce);
+  Batcher batcher(sched, probe);
   ASSERT_EQ(batcher.chain_limit(), static_cast<std::size_t>(P));
 
   // Chaining needs at least one worker to announce while the BOP runs; the
@@ -321,7 +337,7 @@ TEST(AnnounceChaining, ChainLimitOneDisablesChaining) {
   constexpr unsigned P = 8;
   rt::Scheduler sched(P);
   YieldingProbe probe;
-  Batcher batcher(sched, probe, Batcher::SetupPolicy::Announce);
+  Batcher batcher(sched, probe);
   batcher.set_chain_limit(1);
   ASSERT_EQ(batcher.chain_limit(), 1u);
 
@@ -380,7 +396,7 @@ TEST(AnnounceChaining, LaunchesPerFlagHoldRespectChainLimit) {
   {
     rt::Scheduler sched(P);
     YieldingProbe probe;
-    Batcher batcher(sched, probe, Batcher::SetupPolicy::Announce);
+    Batcher batcher(sched, probe);
     batcher.set_chain_limit(kLimit);
     for (int round = 0; round < 10; ++round) {
       announce_storm_round(sched, batcher, 200);
@@ -402,7 +418,7 @@ TEST(AnnounceChaining, SingleWorkerNeverStealsNorChains) {
     rt::Scheduler sched(1);
     sched.export_final_stats(&snap);
     YieldingProbe probe;
-    Batcher batcher(sched, probe, Batcher::SetupPolicy::Announce);
+    Batcher batcher(sched, probe);
     ASSERT_EQ(batcher.chain_limit(), 1u);
     sched.run([&] {
       rt::parallel_for(0, 128, [&](std::int64_t i) {

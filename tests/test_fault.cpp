@@ -11,8 +11,8 @@
 //      submit.
 //   2. StallWatchdog driven by synthetic event streams — every build.
 //   3. Injected faults (hooks::test_faults(), requires BATCHER_AUDIT): the
-//      fault matrix — throw-in-BOP under both setup policies, throw in a
-//      core task frame, throw inside collect, a slow launcher — swept under
+//      fault matrix — throw-in-BOP, throw in a core task frame, throw
+//      inside collect, a slow launcher — swept under
 //      >= 500 perturbed schedules with the auditor and watchdog attached.
 #include <gtest/gtest.h>
 
@@ -165,14 +165,14 @@ struct FlakyCounter final : BatchedStructure {
   }
 };
 
-void throwing_bop_recovers(Batcher::SetupPolicy policy) {
+TEST(BatchRecovery, ThrowingBopRecoversAnnounceSetup) {
   constexpr std::int64_t kOps = 64;
   constexpr std::int64_t kProbe = 8;
   constexpr int kFailures = 3;
 
   rt::Scheduler sched(4);
   FlakyCounter ds(kFailures);
-  Batcher batcher(sched, ds, policy);
+  Batcher batcher(sched, ds);
 
   std::atomic<std::int64_t> ok{0};
   std::atomic<std::int64_t> failed{0};
@@ -239,18 +239,6 @@ void throwing_bop_recovers(Batcher::SetupPolicy policy) {
   EXPECT_EQ(hist_batches, st.batches_launched);
   EXPECT_EQ(hist_ops, st.ops_processed);
   EXPECT_EQ(st.batch_size_histogram[0], st.empty_batches);
-}
-
-TEST(BatchRecovery, ThrowingBopRecoversSequentialSetup) {
-  throwing_bop_recovers(Batcher::SetupPolicy::Sequential);
-}
-
-TEST(BatchRecovery, ThrowingBopRecoversParallelSetup) {
-  throwing_bop_recovers(Batcher::SetupPolicy::Parallel);
-}
-
-TEST(BatchRecovery, ThrowingBopRecoversAnnounceSetup) {
-  throwing_bop_recovers(Batcher::SetupPolicy::Announce);
 }
 
 // --- 1c. ExternalDomain failure paths ---------------------------------------
@@ -502,18 +490,17 @@ TEST(InjectedFaults, CoreTaskFaultSurfacesAtSpawnerJoin) {
   hooks::test_faults().reset();
 }
 
-// The collect-fault recovery contract, per setup policy.  Scan policies
-// (Sequential/Parallel) leave a faulted slot pending, to be re-collected by
-// a later batch; the announce policy has already unhooked the claimed list
-// from the stack, so recovery fails the whole claimed list — collected slots
-// and the uncollected tail alike.  Either way every caller either gets its
-// result or the injected error, and the counter agrees exactly with the
-// calls that returned.
-void collect_fault_recovers(Batcher::SetupPolicy policy) {
+// The collect-fault recovery contract: the claim walk has already unhooked
+// the claimed list from the announce stack, so recovery fails the whole
+// claimed list — collected slots and the uncollected tail alike.  Every
+// caller either gets its result or the injected error, and the counter
+// agrees exactly with the calls that returned.
+TEST(InjectedFaults, CollectFaultFailsClaimedListAndRecoversAnnounce) {
+  REQUIRE_LIVE_HOOKS();
   hooks::test_faults().reset();
   hooks::test_faults().throw_in_collect.store(2, std::memory_order_relaxed);
   rt::Scheduler sched(4);
-  ds::BatchedCounter counter(sched, 0, policy);
+  ds::BatchedCounter counter(sched);
   std::atomic<std::int64_t> ok{0};
   sched.run([&] {
     rt::parallel_for(0, 64,
@@ -538,16 +525,6 @@ void collect_fault_recovers(Batcher::SetupPolicy policy) {
   const BatcherStats st = counter.batcher().stats();
   EXPECT_EQ(st.ops_processed, st.ops_failed + st.ops_succeeded);
   hooks::test_faults().reset();
-}
-
-TEST(InjectedFaults, CollectFaultFailsOnlyCollectedOpsAndRecovers) {
-  REQUIRE_LIVE_HOOKS();
-  collect_fault_recovers(Batcher::SetupPolicy::Sequential);
-}
-
-TEST(InjectedFaults, CollectFaultFailsClaimedListAndRecoversAnnounce) {
-  REQUIRE_LIVE_HOOKS();
-  collect_fault_recovers(Batcher::SetupPolicy::Announce);
 }
 
 TEST(InjectedFaults, SlowLauncherTripsStallWatchdog) {
@@ -604,18 +581,12 @@ TEST(InjectedFaults, FaultMatrixSweepRecoversAcrossSeeds) {
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     session.reseed(seed);
     const int row = static_cast<int>(seed % 5);
-    // Rotate every fault row through the announce path too: row 1 pins the
-    // parallel scan, the rest alternate announce/sequential by seed.
-    const Batcher::SetupPolicy policy =
-        row == 1 ? Batcher::SetupPolicy::Parallel
-                 : (seed % 2 == 0 ? Batcher::SetupPolicy::Announce
-                                  : Batcher::SetupPolicy::Sequential);
     auto& faults = hooks::test_faults();
     faults.reset();
     const std::int64_t armed = 1 + static_cast<std::int64_t>(seed % 3);
     switch (row) {
       case 0:
-      case 1:
+      case 1:  // rows 0 and 1 both throw in the BOP: two fifths of the seeds
         faults.throw_in_bop.store(armed, std::memory_order_relaxed);
         break;
       case 2:
@@ -633,7 +604,7 @@ TEST(InjectedFaults, FaultMatrixSweepRecoversAcrossSeeds) {
     bool outer_fault = false;
     {
       rt::Scheduler sched(kWorkers);
-      ds::BatchedCounter counter(sched, 0, policy);
+      ds::BatchedCounter counter(sched);
       std::atomic<std::int64_t> ok{0};
       std::atomic<bool> storm_threw{false};
       sched.run([&] {

@@ -9,7 +9,10 @@ subset of JSON Schema that bench/bench_report.schema.json uses:
 plus the cross-field reconciliation the schema language cannot express: when
 a report carries a trace whose rings never overflowed, the trace-derived op
 count must equal the sum of the recorded BatcherStats op counts (the
-"histograms reconcile exactly with Batcher::stats()" acceptance check), and
+"histograms reconcile exactly with Batcher::stats()" acceptance check),
+every batcher_stats row must satisfy announce_pushes == ops_processed (each
+batchify announces once, and a quiescent snapshot has carried every
+announced op to done), and
 every scheduler_stats row must satisfy the frame-pool identities
 (frames_allocated == frames_freed at a quiescent snapshot,
 remote_frees <= frames_freed) and the span/work ordering
@@ -115,6 +118,14 @@ def reconcile(report, errors):
             errors.append(
                 f"{path}: chained_launches ({st['chained_launches']}) > "
                 f"batches_launched ({st['batches_launched']})")
+        # Every batchify announces its slot exactly once (DESIGN.md §11), and
+        # a report's stats are quiescent, so each announced op was carried to
+        # done by some batch and each carried op had announced.
+        if st["announce_pushes"] != st["ops_processed"]:
+            errors.append(
+                f"{path}: announce_pushes ({st['announce_pushes']}) != "
+                f"ops_processed ({st['ops_processed']}) at a quiescent "
+                f"snapshot")
 
     for i, st in enumerate(report.get("scheduler_stats", [])):
         path = f"$.scheduler_stats[{i}]"
