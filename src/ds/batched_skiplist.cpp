@@ -6,7 +6,6 @@
 
 #include "parallel/prefix_sum.hpp"
 #include "parallel/scan.hpp"
-#include "parallel/sort.hpp"
 #include "runtime/api.hpp"
 #include "support/config.hpp"
 
@@ -15,6 +14,12 @@ namespace batcher::ds {
 namespace {
 
 using TaggedKey = prep::Tagged<BatchedSkipList::Key>;
+
+// Grain of the per-node loops of carve, splice, victim marking and unlink.
+// Each element costs a few ns, so a fork only pays once a leaf holds a few
+// hundred of them: a fig5_insert batch (~150 new keys) runs each pass as
+// one leaf, while a batch of thousands still forks (DESIGN.md §16).
+constexpr std::int64_t kLeafGrain = 256;
 
 // SplitMix64-style mixer: per-batch seed + record index -> height bits, so a
 // batch can draw all heights in parallel while staying deterministic for a
@@ -397,7 +402,7 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
   for (std::size_t i = 0; i < ops.size(); ++i) {
     keys[i] = TaggedKey{ops[i]->key, static_cast<std::uint32_t>(i)};
   }
-  par::parallel_sort(keys.data(), static_cast<std::int64_t>(keys.size()));
+  prep::sort_tagged(keys);
   search_sorted(ops, keys, /*inserting=*/false);
 
   // search_sorted left each distinct key's predecessors in pred_scratch_ and
@@ -417,7 +422,7 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
       [&](std::int64_t j) {
         node_scratch_[live_index_[static_cast<std::size_t>(j)]]->erased = true;
       },
-      /*grain=*/64);
+      kLeafGrain);
 
   // Unlink, one independent pass per level.  At level l the victims (in key
   // order) split into maximal chain-adjacent runs: a victim whose recorded
@@ -469,7 +474,7 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
               const bool head = t == 0 || !pred_of(t)->erased;
               run_id[static_cast<std::size_t>(t)] = head ? 1u : 0u;
             },
-            /*grain=*/32);
+            kLeafGrain);
         par::scan_inclusive(run_id.data(), sz,
                             [](std::uint32_t a, std::uint32_t b) {
                               return a + b;
@@ -485,7 +490,7 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
                 run_last[run_id[ti] - 1] = static_cast<std::uint32_t>(t);
               }
             },
-            /*grain=*/32);
+            kLeafGrain);
         rt::parallel_for(
             0, sz,
             [&](std::int64_t t) {
@@ -495,7 +500,7 @@ void BatchedSkipList::apply_erases(std::vector<Op*>& ops) {
               Node* tail = victim_of(run_last[run_id[ti] - 1]);
               pred_of(t)->next[l] = tail->next[l];
             },
-            /*grain=*/16);
+            kLeafGrain);
       },
       /*grain=*/1);
 
@@ -540,7 +545,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
       /*grain=*/8);
 
   // Step 1 (sort).
-  par::parallel_sort(keys.data(), static_cast<std::int64_t>(keys.size()));
+  prep::sort_tagged(keys);
 
   // Step 2 (search).  Record s < single.size() is single[s]; MultiInsert
   // payload keys have no per-key result.
@@ -574,7 +579,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
             sizeof(Node) + sizeof(Link) * static_cast<std::size_t>(h - 1);
         offset_scratch_[ji] = (bytes + 15) & ~std::size_t{15};
       },
-      /*grain=*/64);
+      kLeafGrain);
   const std::size_t total_bytes = par::scan_exclusive(
       offset_scratch_.data(), m,
       [](std::size_t a, std::size_t b) { return a + b; }, std::size_t{0});
@@ -590,7 +595,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
         node->erased = false;
         node_scratch_[ji] = node;
       },
-      /*grain=*/32);
+      kLeafGrain);
 
   // Step 3 (divide-and-conquer splice): levels are pointer-disjoint, so they
   // run in parallel; within a level, new nodes sharing a pre-batch
@@ -644,7 +649,7 @@ void BatchedSkipList::apply_inserts(const std::vector<Op*>& single,
                 pred->next[l] = Link{node, keys[idx].key};
               }
             },
-            /*grain=*/16);
+            kLeafGrain);
       },
       /*grain=*/1);
 

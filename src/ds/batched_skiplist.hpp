@@ -3,7 +3,8 @@
 //
 // The BOP follows the paper's three-step batch insert:
 //   1. gather the batch's keys (parallel, offsets via prefix sums) and sort
-//      them (parallel merge sort);
+//      them (prep::sort_tagged: std::sort up to the sort cutoff, parallel
+//      merge sort above it);
 //   2. search the main list for every key's per-level predecessors and
 //      successors, in interleaved groups of 8 (kGroup) consecutive sorted
 //      keys.  The searches are read-only and independent, but each is a

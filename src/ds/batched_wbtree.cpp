@@ -2,9 +2,7 @@
 
 #include <algorithm>
 
-#include "ds/batch_prep.hpp"
 #include "parallel/scan.hpp"
-#include "parallel/sort.hpp"
 #include "runtime/api.hpp"
 #include "support/config.hpp"
 
@@ -363,11 +361,12 @@ void BatchedWBTree::apply_reads(const std::vector<Op*>& ops) {
 }
 
 void BatchedWBTree::apply_erases(std::vector<Op*>& ops) {
-  std::vector<TaggedKey> keys(ops.size());
+  std::vector<TaggedKey>& keys = batch_keys_;
+  keys.resize(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     keys[i] = TaggedKey{ops[i]->key, static_cast<std::uint32_t>(i)};
   }
-  par::parallel_sort(keys.data(), static_cast<std::int64_t>(keys.size()));
+  prep::sort_tagged(keys);
 
   // Pre-pass: resolve found flags (first op on a key wins) on the pre-erase
   // tree, and flag the keys actually present.
@@ -408,11 +407,12 @@ void BatchedWBTree::apply_erases(std::vector<Op*>& ops) {
 }
 
 void BatchedWBTree::apply_inserts(std::vector<Op*>& ops) {
-  std::vector<TaggedKey> keys(ops.size());
+  std::vector<TaggedKey>& keys = batch_keys_;
+  keys.resize(ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     keys[i] = TaggedKey{ops[i]->key, static_cast<std::uint32_t>(i)};
   }
-  par::parallel_sort(keys.data(), static_cast<std::int64_t>(keys.size()));
+  prep::sort_tagged(keys);
 
   flag_scratch_.assign(keys.size(), 0);
   rt::parallel_for(

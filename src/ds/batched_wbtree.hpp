@@ -31,6 +31,7 @@
 
 #include "batcher/batcher.hpp"
 #include "batcher/op_record.hpp"
+#include "ds/batch_prep.hpp"
 #include "support/arena.hpp"
 
 namespace batcher::ds {
@@ -135,6 +136,7 @@ class BatchedWBTree final : public BatchedStructure {
   Arena& local_arena();
 
   std::vector<Op*> read_ops_, erase_ops_, insert_ops_;  // batch scratch
+  std::vector<prep::Tagged<Key>> batch_keys_;  // the phase's sorted keys
   std::vector<std::uint8_t> flag_scratch_;
   std::vector<std::uint32_t> live_index_;
   std::vector<Key> key_scratch_;

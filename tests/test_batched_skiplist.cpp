@@ -634,6 +634,84 @@ TEST_P(SkipListGroupParam, ExtremeKeysInMixedBatchesMatchSetModel) {
   }
 }
 
+// Batch sizes around the BOP's two switches: the per-node loops of carve,
+// splice, victim marking and unlink run as one leaf up to a grain of 256
+// elements, and the batch sort is a serial std::sort up to 512 sorted keys
+// (the sort cutoff) and a parallel merge sort above it.  Each batch has
+// 511, 512 or 513 sorted keys, of which 255, 256 or 257 are new (insert) or
+// hit (erase); the rest repeat a batch key or name a present (insert) or
+// absent (erase) key.  Insert keys come as singles and as 100-key
+// MultiInsert records, as in fig5_insert.
+TEST_P(SkipListGroupParam, BatchesAroundLeafGrainAndSortCutoffMatchSetModel) {
+  constexpr std::size_t kSorted[] = {511, 512, 513};
+  constexpr std::size_t kChanged[] = {255, 256, 257};
+  constexpr Key kPresent = 1024;  // keys -5120, -5110, ..., 5110
+  rt::Scheduler sched(GetParam());
+  for (const std::size_t sorted : kSorted) {
+    for (const std::size_t changed : kChanged) {
+      SCOPED_TRACE(testing::Message() << sorted << " sorted keys, " << changed
+                                      << " changed");
+      Xoshiro256 rng(sorted * 1000 + changed);
+      BatchedSkipList list(sched, sorted + changed);
+      std::vector<Key> grid(kPresent);
+      for (Key i = 0; i < kPresent; ++i) {
+        grid[static_cast<std::size_t>(i)] = i * 10 - 5 * kPresent;
+        ASSERT_TRUE(list.insert_unsafe(grid[static_cast<std::size_t>(i)]));
+      }
+      std::set<Key> model(grid.begin(), grid.end());
+      auto shuffled = [&](std::vector<Key> v) {
+        for (std::size_t i = v.size(); i > 1; --i) {
+          std::swap(v[i - 1], v[rng.next_below(i)]);
+        }
+        return v;
+      };
+      // Insert: `changed` off-grid keys are new.
+      std::vector<Key> fresh = shuffled(grid);
+      fresh.resize(changed);
+      for (Key& k : fresh) k += 5;
+      std::vector<Key> keys = fresh;
+      while (keys.size() < sorted) {
+        keys.push_back(rng.next_below(2) == 0
+                           ? fresh[rng.next_below(changed)]
+                           : grid[rng.next_below(grid.size())]);
+      }
+      keys = shuffled(keys);
+      std::vector<Rec> inserts;
+      std::size_t next = 0;
+      for (; next < sorted / 4; ++next) {
+        inserts.push_back(Rec{Kind::Insert, keys[next], 0, {}});
+      }
+      while (next < sorted) {
+        Rec r{Kind::MultiInsert, 0, 0, {}};
+        for (; next < sorted && r.multi.size() < 100; ++next) {
+          r.multi.push_back(keys[next]);
+        }
+        inserts.push_back(std::move(r));
+      }
+      ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, inserts));
+      ASSERT_EQ(model.size(), kPresent + changed);
+      // Erase: `changed` present keys, old and just inserted, are hit.
+      std::vector<Key> victims = shuffled(
+          std::vector<Key>(model.begin(), model.end()));
+      victims.resize(changed);
+      keys = victims;
+      while (keys.size() < sorted) {
+        keys.push_back(rng.next_below(2) == 0
+                           ? victims[rng.next_below(changed)]
+                           : grid[rng.next_below(grid.size())] + 1);
+      }
+      std::vector<Rec> erases;
+      for (const Key k : shuffled(keys)) {
+        erases.push_back(Rec{Kind::Erase, k, 0, {}});
+      }
+      ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, erases));
+      ASSERT_EQ(model.size(), kPresent);
+      for (const Key k : model) ASSERT_TRUE(list.contains_unsafe(k)) << k;
+      for (const Key k : victims) ASSERT_FALSE(list.contains_unsafe(k)) << k;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Workers, SkipListGroupParam,
                          ::testing::Values(1u, 2u, 3u, 4u));
 

@@ -31,6 +31,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <optional>
@@ -40,9 +41,11 @@
 #include "audit/audit_session.hpp"
 #include "audit/schedule_perturber.hpp"
 #include "batcher/op_record.hpp"
+#include "ds/batch_prep.hpp"
 #include "ds/batched_hashmap.hpp"
 #include "ds/batched_skiplist.hpp"
 #include "ds/batched_wbtree.hpp"
+#include "parallel/sort.hpp"
 #include "runtime/api.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
@@ -832,6 +835,94 @@ TEST(BopSpanTasks, WBTreeSortMergeBatchSpanIsSublinear) {
       << "span_small=" << span_small << " span_large=" << span_large;
   EXPECT_LT(span_large, 4096u / 8u)
       << "span_large=" << span_large << " is not sublinear in the batch";
+}
+
+// ---------------------------------------------------------------------------
+// Part 5: the shared batch sort.  prep::sort_tagged runs std::sort in place
+// up to the sort cutoff (512) and par::parallel_sort above it; both must
+// give exactly std::sort's (key, ws) order.  The sizes run from empty and
+// single-record batches through fig5_insert's ~150 to just past the cutoff
+// and a multi-leaf parallel sort.  Records arrive in arbitrary ws order: no
+// caller-side ordering is assumed.
+// ---------------------------------------------------------------------------
+
+using TaggedKey = ds::prep::Tagged<Key>;
+
+// n records in shuffled order: runs of ~3 records share a ws (a
+// MultiInsert record's payload), so duplicates fall both within one ws and
+// across several.
+std::vector<TaggedKey> tagged_batch(std::size_t n, int dist,
+                                    Xoshiro256& rng) {
+  constexpr Key kMin = std::numeric_limits<Key>::min();
+  constexpr Key kMax = std::numeric_limits<Key>::max();
+  constexpr Key kExtremes[] = {kMin, kMin + 1, -1, 0, 1, kMax - 1, kMax};
+  std::vector<TaggedKey> keys(n);
+  std::uint32_t ws = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i > 0 && rng.next_below(3) == 0) ++ws;
+    Key k = 0;
+    switch (dist) {
+      case 0:  // any 64-bit key, half of them negative
+        k = static_cast<Key>(rng.next());
+        break;
+      case 1:  // a narrow signed range: duplicates within and across ws
+        k = static_cast<Key>(rng.next_below(41)) - 20;
+        break;
+      case 2:  // only the top byte differs
+        k = static_cast<Key>(rng.next_below(256) << 56);
+        break;
+      case 3:  // the extremes, INT64_MIN and INT64_MAX included
+        k = kExtremes[rng.next_below(std::size(kExtremes))];
+        break;
+      case 4:  // only the top bit of each byte varies, the sign bit included
+        k = static_cast<Key>(rng.next() & 0x8080808080808080ULL);
+        break;
+      default:  // every key equal: ordered by ws alone
+        k = -42;
+        break;
+    }
+    keys[i] = TaggedKey{k, ws};
+  }
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(keys[i - 1], keys[rng.next_below(i)]);
+  }
+  return keys;
+}
+
+// Sorts an n-record batch of every distribution and compares it with
+// std::sort's order.
+void expect_sorted_like_std(rt::Scheduler& sched, std::size_t n,
+                            Xoshiro256& rng) {
+  for (int dist = 0; dist < 6; ++dist) {
+    std::vector<TaggedKey> keys = tagged_batch(n, dist, rng);
+    std::vector<TaggedKey> expected = keys;
+    std::sort(expected.begin(), expected.end());
+    sched.run([&] { ds::prep::sort_tagged(keys); });
+    ASSERT_EQ(keys.size(), n);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(keys[i].key, expected[i].key)
+          << "n " << n << " dist " << dist << " at " << i;
+      ASSERT_EQ(keys[i].ws, expected[i].ws)
+          << "n " << n << " dist " << dist << " at " << i;
+    }
+  }
+}
+
+TEST(SortTagged, MatchesStdSortAcrossRegimes) {
+  constexpr std::size_t kSizes[] = {0,   1,   2,   31,  32,  33,  255,
+                                    256, 257, 511, 512, 513, 4096};
+  rt::Scheduler sched(2);
+  Xoshiro256 rng(31);
+  for (const std::size_t n : kSizes) {
+    ASSERT_NO_FATAL_FAILURE(expect_sorted_like_std(sched, n, rng));
+  }
+  // Lowering the cutoff (SortCutoffGuard, the knob that exercises the
+  // recursive span at batch sizes) sends small batches through
+  // parallel_sort's recursion too.
+  par::SortCutoffGuard guard(8);
+  for (const std::size_t n : {9, 33, 155}) {
+    ASSERT_NO_FATAL_FAILURE(expect_sorted_like_std(sched, n, rng));
+  }
 }
 
 }  // namespace
