@@ -88,25 +88,16 @@ void Batcher::batchify(OpRecordBase& op) {
   // below.
   slot.status.store(OpStatus::Pending, std::memory_order_release);
 
-  // Announce the slot (DESIGN.md §11): one release CAS pushes it onto the
-  // intrusive MPSC list the launcher claims wholesale.  The release — and,
-  // for slots deeper in the list, the release sequence every later push
-  // continues — pairs with the launcher's acquire exchange, so the claim
-  // walk's relaxed status/op reads are ordered after this worker's
-  // publication above.  Emitted-before-push mirrors the status hooks: an
-  // observer sees the announce before any launcher can act on it.
+  // Announce the slot (DESIGN.md §11) on the list the launcher claims
+  // wholesale.  Emitted-before-push mirrors the status hooks: an observer
+  // sees the announce before any launcher can act on it.
   hooks::emit({hooks::HookPoint::kAnnouncePush, w->id(), rt::TaskKind::Core,
                w->current_kind(), this});
   if (trace::enabled()) [[unlikely]] {
     trace::emit(w->id(), trace::EventId::kAnnouncePush, trace_id_);
   }
   stat_cells_.announce_pushes.fetch_add(1, std::memory_order_relaxed);
-  Slot* head = announce_head_.load(std::memory_order_relaxed);
-  do {
-    slot.announce_next = head;
-  } while (!announce_head_.compare_exchange_weak(head, &slot,
-                                                 std::memory_order_release,
-                                                 std::memory_order_relaxed));
+  announced_.push(slot);
 
   // The trapped-worker rules of Fig. 3.
   Backoff backoff;
@@ -344,8 +335,7 @@ void Batcher::launch_batch() {
         // batch pays one flag round trip, and a non-null sighting cannot be
         // spurious (only owners push; collect claims whatever is really
         // there, possibly more than we saw).
-        if (chain + 1 < chain_limit_ &&
-            announce_head_.load(std::memory_order_relaxed) != nullptr) {
+        if (chain + 1 < chain_limit_ && !announced_.empty()) {
           chain_again = true;
           guard.keep_flag();
         }
@@ -376,11 +366,9 @@ std::size_t Batcher::collect() {
   hooks::emit({hooks::HookPoint::kAnnounceClaim,
                rt::Worker::current()->id(), rt::TaskKind::Batch,
                rt::TaskKind::Batch, this});
-  // One exchange claims every announced slot.  The acquire pairs with each
-  // owner's release CAS — for slots deeper in the list via the release
-  // sequence the later pushes continue — so the relaxed loads in the walk
-  // below see each owner's op pointer and Pending store.
-  Slot* s = announce_head_.exchange(nullptr, std::memory_order_acquire);
+  // One claim takes every announced slot; the walk's relaxed loads see each
+  // owner's op pointer and Pending store (AnnounceList's ordering note).
+  Slot* s = announced_.claim();
   claimed_rest_ = s;
   std::size_t count = 0;
   while (s != nullptr) {

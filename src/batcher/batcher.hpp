@@ -40,6 +40,7 @@
 #include <exception>
 #include <vector>
 
+#include "batcher/announce.hpp"
 #include "batcher/op_record.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/worker.hpp"
@@ -47,11 +48,6 @@
 #include "support/padded.hpp"
 
 namespace batcher {
-
-// Worker status with respect to this batching domain (§4): `pending` /
-// `executing` / `done` mean the worker is *trapped* on a suspended
-// data-structure node; `free` means it has none.
-enum class OpStatus : std::uint8_t { Free = 0, Pending, Executing, Done };
 
 // Counters describing one Batcher domain's activity.  The launch-side cells
 // are written only by the (unique) active batch launcher, so single-writer
@@ -147,10 +143,7 @@ class Batcher {
     // This slot's worker id — the status hooks name the slot's owner, and
     // the claim walk has no slot index to derive it from.
     unsigned owner = 0;
-    // Intrusive announce-list link.  Written by the owner before its release
-    // CAS on announce_head_, read by the launcher after its acquire
-    // exchange; the claim walk always reads it before flipping the slot to
-    // a state the owner could resume from, so a plain pointer suffices.
+    // Intrusive announce-list link (batcher/announce.hpp).
     Slot* announce_next = nullptr;
     // Bound-ledger path handoff (trace/bound_ledger.hpp).  The owner writes
     // submit_path_* before its Pending release store (launcher reads after
@@ -229,10 +222,8 @@ class Batcher {
   alignas(kCacheLineSize) std::atomic<std::uint32_t> batch_flag_{0};
   std::atomic<std::int32_t> batches_running_{0};  // Invariant 1 check
 
-  // Announce-list head.  Owners push with a release CAS; the launcher claims
-  // the whole list with exchange(nullptr, acquire).  Push-only + whole-list
-  // claim means no ABA window.
-  alignas(kCacheLineSize) std::atomic<Slot*> announce_head_{nullptr};
+  // Owners push their slot with the Pending store; the launcher claims.
+  AnnounceList<Slot> announced_;
   // Launcher-private bookkeeping for the current launch (valid only under
   // the batch flag): the slots this launch flipped to Executing, and — while
   // the claim walk is still running — the claimed-but-unprocessed tail.

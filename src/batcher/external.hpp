@@ -3,13 +3,15 @@
 // calls, allowing work-stealing to operate over the data structure batches
 // while static pthreading operates over the main program."
 //
-// External (non-worker) threads publish operation records into a slot array,
-// exactly like workers publish into the pending array; a *pump* task running
-// inside the scheduler gathers them into batches of at most `batch_cap`
-// records and executes the structure's BOP as a batch dag — so the batch
-// itself is accelerated by work stealing even though the callers are plain
-// threads.  One pump per domain at a time preserves Invariant 1; the cap
-// preserves the spirit of Invariant 2.
+// External (non-worker) threads publish operation records exactly as
+// workers do in Batcher::batchify: a Pending store and one push onto the
+// intrusive announce list (batcher/announce.hpp).  A *pump* task running
+// inside the scheduler claims that list, serves it oldest first in batches
+// of at most P records, and executes the structure's BOP as a batch dag —
+// so the batch itself is accelerated by work stealing even though the
+// callers are plain threads.  One pump per domain at a time preserves
+// Invariant 1; the cap of P preserves Invariant 2.  No submit, pump or
+// shutdown path walks the slot array.
 //
 // Graceful degradation (DESIGN.md §13).  A service front-end must bound
 // every wait and shed load it cannot absorb, so on top of the DESIGN.md §8
@@ -17,19 +19,20 @@
 // bounds every blocked submit) this domain offers:
 //
 //  * Deadlines: `submit_until` / `try_submit` revoke a still-Pending record
-//    through the same Pending->Free CAS the shutdown path uses and throw
-//    OpTimedOut.  A record the pump has already claimed is in a batch and
-//    will complete — the deadline bounds time-to-claim, never abandons an
-//    executing op (the record lives on the caller's stack).
+//    through the same owner-side Pending->Revoked CAS the shutdown path
+//    uses and throw OpTimedOut.  A record the pump has already claimed is
+//    in a batch and will complete — the deadline bounds time-to-claim,
+//    never abandons an executing op (the record lives on the caller's
+//    stack).
 //  * Overload shedding: when the published-but-unresolved depth is at
 //    `shed_threshold`, submissions fail fast with DomainOverloaded *before*
 //    publishing, so the backlog is bounded and a rejected caller can back
 //    off.  `submit_with_retry` layers a seeded, jittered exponential backoff
 //    (RetryPolicy) over that rejection.
 //  * Quarantine: `quarantine()` is the escalation hook for a wedged domain
-//    (see StallWatchdog::set_escalation_handler) — it closes the domain and
-//    fails every still-Pending record through the legal status edges, from
-//    any thread, exactly as the pump's exit drain does.
+//    (see StallWatchdog::set_escalation_handler) — it closes the domain, its
+//    pump claims nothing more, and every blocked submitter revokes its own
+//    record as after shutdown(), from any thread.
 //
 // Every published record resolves exactly one way, counted owner-side:
 //   ops_served == ops_succeeded + ops_failed + ops_timed_out
@@ -45,13 +48,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "batcher/announce.hpp"
 #include "batcher/op_record.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
 #include "runtime/worker.hpp"
 #include "support/backoff.hpp"
 #include "support/config.hpp"
-#include "support/padded.hpp"
 #include "support/rng.hpp"
 #include "trace/trace.hpp"
 
@@ -99,6 +102,14 @@ struct RetryPolicy {
   unsigned max_retries = 8;      // rethrows DomainOverloaded after these
   std::uint32_t base_spins = 128;
   std::uint32_t max_spins = std::uint32_t{1} << 16;
+
+  // Spins out the wait before retry `attempt` (0-based), drawn from `rng`.
+  void backoff(unsigned attempt, Xoshiro256& rng) const {
+    const std::uint64_t full = std::min<std::uint64_t>(
+        max_spins, std::uint64_t{base_spins} << std::min(attempt, 31u));
+    const std::uint64_t spins = full / 2 + rng.next_below(full / 2 + 1);
+    for (std::uint64_t i = 0; i < spins; ++i) cpu_relax();
+  }
 };
 
 // The parking gate a multi-domain pump front-end (service::ShardRouter) shares
@@ -106,17 +117,18 @@ struct RetryPolicy {
 // sleep in `epoch.wait` and `parked` counts them.  A submit that publishes its
 // record, fences, and then finds no spinner but a parked pump bumps `epoch`
 // and wakes one.  The fence pairs with the pump's parked++ / fence / re-scan
-// before it waits (a Dekker pairing): either the pump's re-scan sees the
-// Pending record, or the submitter sees parked != 0 and wakes it.  The pump
-// reads `epoch` before it registers, so a bump that lands after that read
-// makes its wait return at once.
+// before it waits (a Dekker pairing): either the pump's re-scan
+// (ExternalDomain::wants_pump) sees the published record, or the submitter
+// sees parked != 0 and wakes it.  The pump reads `epoch` before it
+// registers, so a bump that lands after that read makes its wait return at
+// once.
 struct PumpGate {
   std::atomic<std::uint32_t> spinning{0};
   std::atomic<std::uint32_t> parked{0};
   std::atomic<std::uint32_t> epoch{0};
 
-  // Submit side, after the Pending store.  With a spinner present this is a
-  // fence and two loads: the client never enters the kernel.
+  // Submit side, after the publish.  With a spinner present this is a fence
+  // and two loads: the client never enters the kernel.
   void after_publish() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     if (spinning.load() == 0 && parked.load() != 0) {
@@ -137,7 +149,7 @@ struct PumpGate {
 struct ExternalStats {
   std::uint64_t ops_served = 0;     // published records that resolved
   std::uint64_t ops_succeeded = 0;  // Done without error
-  std::uint64_t ops_failed = 0;     // Done with error, or shutdown-revoked
+  std::uint64_t ops_failed = 0;     // Done with error, or revoked on close
   std::uint64_t ops_timed_out = 0;  // deadline-revoked before claim
   std::uint64_t ops_shed = 0;       // refused before publication
   std::uint64_t batches_served = 0;
@@ -148,9 +160,6 @@ struct ExternalStats {
 class ExternalDomain {
  public:
   struct Options {
-    // Max records per pump batch; 0 means the scheduler's worker count
-    // (Invariant 2's P).
-    std::size_t batch_cap = 0;
     // Fail submissions fast once this many records are published but not yet
     // resolved; 0 disables shedding.
     std::size_t shed_threshold = 0;
@@ -165,29 +174,27 @@ class ExternalDomain {
   // concurrently; thread `tid` must be in [0, max_threads).  `gate` is the
   // parking gate of the front-end whose pumps serve this domain (null for a
   // domain pumped by its own serve()).  Throws std::invalid_argument if
-  // `max_threads` is 0: such a domain could never accept a submission, and
-  // the pump's slot scan divides by it.
+  // `max_threads` is 0: such a domain could never accept a submission.
   ExternalDomain(rt::Scheduler& sched, BatchedStructure& ds,
                  std::size_t max_threads, Options options,
                  PumpGate* gate = nullptr)
-      : sched_(sched),
-        ds_(ds),
+      : ds_(ds),
         gate_(gate),
-        batch_cap_(options.batch_cap != 0 ? options.batch_cap
-                                          : sched.num_workers()),
+        cap_(sched.num_workers()),
         shed_threshold_(options.shed_threshold),
         stall_probe_(std::move(options.stall_probe)),
         slots_(checked_max_threads(max_threads)),
         trace_id_(trace::register_domain(this)) {
-    // Reserve both pump scratch vectors up front: serve() must not allocate
-    // (and so must not throw) between claiming slots and completing them.
-    working_.reserve(slots_.size());
-    collected_.reserve(slots_.size());
+    // Reserve both pump scratch vectors up front: pump_once() must not
+    // allocate (and so must not throw) between claiming slots and completing
+    // them.
+    working_.reserve(cap_);
+    collected_.reserve(cap_);
   }
 
   ExternalDomain(rt::Scheduler& sched, BatchedStructure& ds,
-                 std::size_t max_threads, std::size_t batch_cap = 0)
-      : ExternalDomain(sched, ds, max_threads, Options{batch_cap, 0, {}}) {}
+                 std::size_t max_threads)
+      : ExternalDomain(sched, ds, max_threads, Options{}) {}
 
   ExternalDomain(const ExternalDomain&) = delete;
   ExternalDomain& operator=(const ExternalDomain&) = delete;
@@ -240,113 +247,96 @@ class ExternalDomain {
         if (attempt >= policy.max_retries) throw;
       }
       retries_.fetch_add(1, std::memory_order_relaxed);
-      const unsigned shift = std::min(attempt, 31u);
-      const std::uint64_t full =
-          std::min<std::uint64_t>(policy.max_spins,
-                                  std::uint64_t{policy.base_spins} << shift);
-      const std::uint64_t spins = full / 2 + rng.next_below(full / 2 + 1);
-      for (std::uint64_t i = 0; i < spins; ++i) cpu_relax();
+      policy.backoff(attempt, rng);
     }
   }
 
-  // One pump step: scan the slot array once (from the rotating cursor),
-  // claim up to `batch_cap` pending records, and run them as one batch dag.
-  // Returns true when a batch was served, false when the scan found nothing.
-  // `after_bop` runs once per served batch, after the BOP and before the
-  // Done stores that release its submitters.
+  // One pump step: claim the announced records, walk them oldest first,
+  // and serve the Pending ones in successive batches of at most P, each run
+  // as one batch dag.  Revoked records met on the way are unlinked.  Every
+  // record of the claim is served or unlinked before the step returns, so
+  // nothing claimed waits unseen by wants_pump().  Returns true when a batch
+  // was served, false when there was nothing to serve (always false once
+  // the domain is quarantined; a quarantine also stops a step between
+  // batches, and the owners of the records left revoke them).
+  // `after_bop(more)` runs once per served batch, after the BOP and before
+  // the Done stores that release its submitters; `more` says whether records
+  // of the claim are left to walk.
   //
   // This is the unit a multi-domain front-end schedules: pump tasks sweep
   // pump_once() across several sharded domains (see
   // service::ShardRouter::serve), so K shards need far fewer than K workers.
   // Invariant 1 discipline is unchanged — at most one thread may pump a
-  // given domain at a time (the scan cursor and scratch vectors are
-  // deliberately unsynchronized pump-only state).
+  // given domain at a time (the scratch vectors are deliberately
+  // unsynchronized pump-only state).
   bool pump_once() {
-    return pump_once([] {});
+    return pump_once([](bool) {});
   }
 
   template <typename AfterBop>
   bool pump_once(AfterBop&& after_bop) {
     rt::Worker* w = rt::Worker::current();
     BATCHER_ASSERT(w != nullptr, "pump_once() must run on a worker");
-    const std::size_t n = slots_.size();
-    working_.clear();
-    collected_.clear();
-    // Scan from a rotating start so high tids are not starved when the cap
-    // keeps filling from the same low slots: the next pass resumes after
-    // the last slot this pass examined.
-    std::size_t examined = 0;
-    for (std::size_t k = 0; k < n && working_.size() < batch_cap_; ++k) {
-      const std::size_t i =
-          scan_start_ + k >= n ? scan_start_ + k - n : scan_start_ + k;
-      Slot& slot = *slots_[i];
-      examined = k + 1;
-      if (slot.status.load(std::memory_order_acquire) != kPending) continue;
-      // CAS, not a plain store: a submitter observing shutdown — or its
-      // deadline — may revoke its record concurrently.
-      rt::hooks::emit({rt::hooks::HookPoint::kExternalClaim, w->id(),
-                       rt::TaskKind::Batch, rt::TaskKind::Batch, this, i});
-      std::uint8_t expected = kPending;
-      if (slot.status.compare_exchange_strong(expected, kExecuting,
-                                              std::memory_order_acq_rel)) {
-        working_.push_back(slot.op);
-        collected_.push_back(&slot);
-      }
-    }
-    scan_start_ = (scan_start_ + examined) % n;
-    if (working_.empty()) return false;
-    // Execute the BOP as a batch dag so idle workers help via their
-    // batch deques — the whole point of the bridge.  A throwing BOP
-    // fails exactly this batch's ops; the pump keeps serving.
-    try {
-      w->run_inline(rt::TaskKind::Batch, [&] {
-#if BATCHER_AUDIT
-        // Same fault point as Batcher's launch path: an armed
-        // throw_in_bop covers externally pumped batches too.
-        if (rt::hooks::fire(rt::hooks::test_faults().throw_in_bop)) {
-          throw rt::hooks::InjectedFault("injected fault: BOP threw");
+    // An idle pump finds the list empty and claims nothing, so it takes no
+    // read-modify-write on the submitters' head line.
+    if (quarantined() || announced_.empty()) return false;
+    Slot* s = oldest_first(announced_.claim());
+    bool served = false;
+    while (s != nullptr && !quarantined()) {
+      working_.clear();
+      collected_.clear();
+      while (s != nullptr && working_.size() < cap_) {
+        // Read the link before the CAS: an unlinked slot is its owner's to
+        // push again at once.
+        Slot* next = s->announce_next;
+        rt::hooks::emit({rt::hooks::HookPoint::kExternalClaim, w->id(),
+                         rt::TaskKind::Batch, rt::TaskKind::Batch, this,
+                         static_cast<std::uint64_t>(s - slots_.data())});
+        if (claim_or_unlink(*s)) {
+          working_.push_back(s->op);
+          collected_.push_back(s);
         }
+        s = next;
+      }
+      if (working_.empty()) break;
+      // Execute the BOP as a batch dag so idle workers help via their
+      // batch deques — the whole point of the bridge.  A throwing BOP
+      // fails exactly this batch's ops; the pump keeps serving.
+      try {
+        w->run_inline(rt::TaskKind::Batch, [&] {
+#if BATCHER_AUDIT
+          // Same fault point as Batcher's launch path: an armed
+          // throw_in_bop covers externally pumped batches too.
+          if (rt::hooks::fire(rt::hooks::test_faults().throw_in_bop)) {
+            throw rt::hooks::InjectedFault("injected fault: BOP threw");
+          }
 #endif
-        ds_.run_batch(working_.data(), working_.size());
-      });
-    } catch (...) {
-      const std::exception_ptr error = std::current_exception();
-      for (Slot* slot : collected_) slot->op->set_error(error);
-      failed_batches_.fetch_add(1, std::memory_order_relaxed);
+          ds_.run_batch(working_.data(), working_.size());
+        });
+      } catch (...) {
+        const std::exception_ptr error = std::current_exception();
+        for (Slot* slot : collected_) slot->op->set_error(error);
+        failed_batches_.fetch_add(1, std::memory_order_relaxed);
+      }
+      after_bop(s != nullptr);
+      for (Slot* slot : collected_) {
+        slot->status.store(OpStatus::Done, std::memory_order_release);
+      }
+      batches_.fetch_add(1, std::memory_order_relaxed);
+      served = true;
     }
-    after_bop();
-    for (Slot* slot : collected_) {
-      slot->status.store(kDone, std::memory_order_release);
-    }
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return served;
   }
 
-  // True when a pump has something to do here: a published record to claim,
-  // or a closed domain still to drain.  A lock-free peek any thread may take.
-  bool wants_pump() const {
-    if (closed()) return true;
-    for (const auto& slot : slots_) {
-      if (slot->status.load(std::memory_order_acquire) == kPending) return true;
-    }
-    return false;
-  }
-
-  // The pump's exit drain, callable once the domain is closed and its final
-  // scan came back empty: fails every record published between that scan and
-  // the submitters noticing the shutdown flag, so no submit can spin on a
-  // pump that has already left.  serve() calls it on exit; a multi-domain
-  // pump loop calls it per domain when pump_once() goes quiet after close.
-  void drain_closed() {
-    BATCHER_ASSERT(closed(), "drain_closed() requires a closed domain");
-    drain_pending(quarantined_.load(std::memory_order_acquire));
-  }
+  // True when a pump has something to do here: an announced record or a
+  // closed domain to retire.  O(1) and lock-free; any thread may take it.
+  bool wants_pump() const { return closed() || !announced_.empty(); }
 
   // The pump of a lone domain: run this inside Scheduler::run (typically as
   // the root task, or spawned beside other work).  Serves batches until
-  // `shutdown` is called and every published record has been applied (or
-  // failed with DomainClosed by the exit drain).  A domain built with a
-  // PumpGate is pumped by its front-end instead.
+  // `shutdown` is called and a pump step comes back empty; a submitter still
+  // waiting then revokes its own record and throws DomainClosed.  A domain
+  // built with a PumpGate is pumped by its front-end instead.
   void serve() {
     Backoff backoff;
     while (true) {
@@ -354,44 +344,43 @@ class ExternalDomain {
         backoff.reset();
         continue;
       }
-      if (stop_.load(std::memory_order_acquire)) break;
+      if (closed()) return;
       backoff.pause();
     }
-    drain_closed();
   }
 
-  // Ask the pump to exit once the slot array drains, and bound every
-  // submit(): after this, an unserved submit fails with DomainClosed rather
-  // than blocking forever.  Safe from any thread; idempotent.
+  // Close the domain and bound every submit(): after this, an unserved
+  // submit revokes its record and fails with DomainClosed rather than
+  // blocking forever, and the pump exits once a step comes back empty.
+  // Safe from any thread; idempotent.
   void shutdown() {
     stop_.store(true, std::memory_order_release);
     if (gate_ != nullptr) gate_->wake_all();
   }
 
   // Escalation path for a wedged domain (the StallWatchdog handler target):
-  // close the domain and immediately fail every still-Pending record with
-  // DomainQuarantined through the legal Pending->Executing->Done edges —
-  // the exit drain's discipline, runnable from *any* thread, so blocked
-  // submitters unblock even if the pump never scans again.
+  // close the domain as shutdown() does, but its pump claims nothing more
+  // and blocked submitters fail with DomainQuarantined.  Runnable from *any*
+  // thread: every blocked submitter revokes its own record, so none waits
+  // on the pump.
   //
   // `fail_claimed` additionally flips Executing records to Done with the
-  // same error.  That edge belongs to the pump, so it is legal only when
-  // the pump is known to be wedged forever (the record's true owner will
-  // never store Done) — a last resort mirroring Batcher's fail_claimed.
-  // Call it from at most one thread.
+  // same error — the one walk over the slot array left.  That edge belongs
+  // to the pump, so it is legal only when the pump is known to be wedged
+  // forever (the record's true owner will never store Done) — a last
+  // resort mirroring Batcher's fail_claimed.  Call it from at most one
+  // thread.
   void quarantine(bool fail_claimed = false) {
     quarantined_.store(true, std::memory_order_release);
     stop_.store(true, std::memory_order_release);
     // Parked pumps must wake to retire this domain; the others keep serving.
     if (gate_ != nullptr) gate_->wake_all();
-    drain_pending(/*as_quarantine=*/true);
     if (!fail_claimed) return;
-    for (auto& padded : slots_) {
-      Slot& slot = *padded;
-      if (slot.status.load(std::memory_order_acquire) != kExecuting) continue;
+    for (Slot& slot : slots_) {
+      OpStatus expected = OpStatus::Executing;
+      if (slot.status.load(std::memory_order_acquire) != expected) continue;
       slot.op->set_error(std::make_exception_ptr(DomainQuarantined()));
-      std::uint8_t expected = kExecuting;
-      slot.status.compare_exchange_strong(expected, kDone,
+      slot.status.compare_exchange_strong(expected, OpStatus::Done,
                                           std::memory_order_acq_rel);
     }
   }
@@ -448,14 +437,12 @@ class ExternalDomain {
  private:
   using Clock = std::chrono::steady_clock;
 
-  static constexpr std::uint8_t kFree = 0;
-  static constexpr std::uint8_t kPending = 1;
-  static constexpr std::uint8_t kExecuting = 2;
-  static constexpr std::uint8_t kDone = 3;
-
-  struct Slot {
-    std::atomic<std::uint8_t> status{kFree};
+  struct alignas(kCacheLineSize) Slot {
+    std::atomic<OpStatus> status{OpStatus::Free};
     OpRecordBase* op = nullptr;
+    // Announce-list link: owned by the pump from the push until the pump
+    // claims or unlinks the slot.
+    Slot* announce_next = nullptr;
   };
 
   // Always checked, like `tid` in submit_impl.  Runs in the initializer list
@@ -466,6 +453,14 @@ class ExternalDomain {
           "batcher: external domain needs max_threads >= 1");
     }
     return max_threads;
+  }
+
+  // Counts one published record as resolved under `how` (the identity in
+  // the header comment); it leaves the backlog.
+  void resolve(std::atomic<std::uint64_t>& how) {
+    pending_depth_.fetch_sub(1, std::memory_order_relaxed);
+    how.fetch_add(1, std::memory_order_relaxed);
+    ops_served_.fetch_add(1, std::memory_order_relaxed);
   }
 
   void submit_impl(std::size_t tid, OpRecordBase& op, bool has_deadline,
@@ -493,26 +488,23 @@ class ExternalDomain {
       }
       throw DomainOverloaded();
     }
-    Slot& slot = *slots_[tid];
-    BATCHER_DASSERT(slot.status.load(std::memory_order_relaxed) == kFree,
-                    "one in-flight op per external thread");
+    Slot& slot = slots_[tid];
     op.clear_error();
     slot.op = &op;
     rt::hooks::emit({rt::hooks::HookPoint::kExternalSubmit, rt::hooks::kNoWorker,
                      rt::TaskKind::Batch, rt::TaskKind::Batch, this, tid});
-    slot.status.store(kPending, std::memory_order_release);
+    publish(slot);
     if (gate_ != nullptr) gate_->after_publish();
     Backoff backoff;
     std::uint32_t spins = 0;
-    while (slot.status.load(std::memory_order_acquire) != kDone) {
+    while (slot.status.load(std::memory_order_acquire) != OpStatus::Done) {
       // Shutdown bounds the wait: revoke the record if the pump has not
-      // claimed it.  The CAS races the pump's own pending->executing CAS
-      // (and the drain's pending->failed CAS), so exactly one side wins; if
-      // the pump won, the op is in a batch and Done is coming.
+      // claimed it.  The CAS races the pump's own Pending -> Executing CAS,
+      // so exactly one side wins; if the pump won, the op is in a batch and
+      // Done is coming.
       if (stop_.load(std::memory_order_acquire)) {
         if (try_revoke(slot, tid)) {
-          ops_failed_.fetch_add(1, std::memory_order_relaxed);
-          ops_served_.fetch_add(1, std::memory_order_relaxed);
+          resolve(ops_failed_);
           throw_closed();
         }
       }
@@ -521,8 +513,7 @@ class ExternalDomain {
       // deadline no longer applies, and we wait for Done like submit().
       if (has_deadline && Clock::now() >= deadline) {
         if (try_revoke(slot, tid)) {
-          ops_timed_out_.fetch_add(1, std::memory_order_relaxed);
-          ops_served_.fetch_add(1, std::memory_order_relaxed);
+          resolve(ops_timed_out_);
           if (trace::enabled()) [[unlikely]] {
             trace::emit(trace::kNoWorkerId, trace::EventId::kOpTimeout,
                         trace_id_);
@@ -537,30 +528,74 @@ class ExternalDomain {
       backoff.pause();
     }
     slot.op = nullptr;
-    slot.status.store(kFree, std::memory_order_relaxed);
-    pending_depth_.fetch_sub(1, std::memory_order_relaxed);
-    ops_served_.fetch_add(1, std::memory_order_relaxed);
-    if (op.failed()) {
-      ops_failed_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      ops_succeeded_.fetch_add(1, std::memory_order_relaxed);
-    }
+    slot.status.store(OpStatus::Free, std::memory_order_relaxed);
+    resolve(op.failed() ? ops_failed_ : ops_succeeded_);
     op.rethrow_if_failed();
   }
 
-  // Owner-side Pending -> Free revocation; true when this thread won the
-  // record back (slot fully released, depth adjusted).
+  // Free -> Pending pushes the slot, as Batcher::batchify does.  A Revoked
+  // slot is still linked, so it is re-armed in place and never linked
+  // twice.  The re-arm CAS and the pump's unlink CAS
+  // (claim_or_unlink) settle their race on the status byte: if the pump
+  // unlinked first, the slot is Free and gets pushed again.
+  void publish(Slot& slot) {
+    OpStatus seen = slot.status.load(std::memory_order_acquire);
+    if (seen == OpStatus::Revoked &&
+        slot.status.compare_exchange_strong(seen, OpStatus::Pending,
+                                            std::memory_order_acq_rel,
+                                            std::memory_order_acquire)) {
+      return;
+    }
+    BATCHER_DASSERT(seen == OpStatus::Free,
+                    "one in-flight op per external thread");
+    slot.status.store(OpStatus::Pending, std::memory_order_relaxed);
+    announced_.push(slot);
+  }
+
+  // Owner-side Pending -> Revoked; true when this thread won the record
+  // back.  The slot stays linked until the pump unlinks it.
   bool try_revoke(Slot& slot, std::size_t tid) {
     rt::hooks::emit({rt::hooks::HookPoint::kExternalRevoke, rt::hooks::kNoWorker,
                      rt::TaskKind::Batch, rt::TaskKind::Batch, this, tid});
-    std::uint8_t expected = kPending;
-    if (!slot.status.compare_exchange_strong(expected, kFree,
-                                             std::memory_order_acq_rel)) {
-      return false;
+    OpStatus expected = OpStatus::Pending;
+    return slot.status.compare_exchange_strong(expected, OpStatus::Revoked,
+                                               std::memory_order_acq_rel);
+  }
+
+  // The pump's edge out of the list for one linked slot: Pending ->
+  // Executing (true, the slot joins the batch) or Revoked -> Free (false,
+  // unlinked).  Each failed CAS means the owner moved the slot between the
+  // two states, so try the other edge.  The unlink's release pairs with
+  // publish()'s acquire, so the link read before it precedes the owner's
+  // next push.
+  bool claim_or_unlink(Slot& slot) {
+    while (true) {
+      OpStatus seen = OpStatus::Pending;
+      if (slot.status.compare_exchange_strong(seen, OpStatus::Executing,
+                                              std::memory_order_acq_rel)) {
+        return true;
+      }
+      BATCHER_ASSERT(seen == OpStatus::Revoked,
+                     "a linked external slot is Pending or Revoked");
+      if (slot.status.compare_exchange_strong(seen, OpStatus::Free,
+                                              std::memory_order_release,
+                                              std::memory_order_relaxed)) {
+        return false;
+      }
     }
-    slot.op = nullptr;
-    pending_depth_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
+  }
+
+  // A claim lists the slots newest first; reversed, the pump serves them
+  // first in, first out.
+  static Slot* oldest_first(Slot* newest) {
+    Slot* oldest = nullptr;
+    while (newest != nullptr) {
+      Slot* next = newest->announce_next;
+      newest->announce_next = oldest;
+      oldest = newest;
+      newest = next;
+    }
+    return oldest;
   }
 
   [[noreturn]] void throw_closed() const {
@@ -568,40 +603,15 @@ class ExternalDomain {
     throw DomainClosed();
   }
 
-  // Fail every still-Pending record through the legal edges.  Shared by the
-  // pump's exit drain (worker thread) and quarantine (any thread); the
-  // Pending->Executing CAS serializes against both the pump scan and owner
-  // revocation, so concurrent drains are safe.
-  void drain_pending(bool as_quarantine) {
-    const unsigned claimer =
-        rt::Worker::current() != nullptr ? rt::Worker::current()->id()
-                                         : rt::hooks::kNoWorker;
-    for (std::size_t i = 0; i < slots_.size(); ++i) {
-      Slot& slot = *slots_[i];
-      if (slot.status.load(std::memory_order_acquire) != kPending) continue;
-      rt::hooks::emit({rt::hooks::HookPoint::kExternalClaim, claimer,
-                       rt::TaskKind::Batch, rt::TaskKind::Batch, this, i});
-      std::uint8_t expected = kPending;
-      if (slot.status.compare_exchange_strong(expected, kExecuting,
-                                              std::memory_order_acq_rel)) {
-        slot.op->set_error(as_quarantine
-                               ? std::make_exception_ptr(DomainQuarantined())
-                               : std::make_exception_ptr(DomainClosed()));
-        slot.status.store(kDone, std::memory_order_release);
-      }
-    }
-  }
-
-  rt::Scheduler& sched_;
   BatchedStructure& ds_;
   PumpGate* const gate_;
-  const std::size_t batch_cap_;
+  const std::size_t cap_;  // Invariant 2: at most P records per batch
   const std::size_t shed_threshold_;
   const std::function<void()> stall_probe_;
-  std::vector<Padded<Slot>> slots_;
+  std::vector<Slot> slots_;
+  AnnounceList<Slot> announced_;
   std::vector<OpRecordBase*> working_;   // pump-only scratch
   std::vector<Slot*> collected_;         // pump-only scratch
-  std::size_t scan_start_ = 0;           // pump-only rotation cursor
   std::atomic<bool> stop_{false};
   std::atomic<bool> quarantined_{false};
   std::atomic<std::size_t> pending_depth_{0};

@@ -55,13 +55,14 @@ enum class HookPoint : std::uint8_t {
   // kNoWorker and `value` carries the external tid — and the pump's worker
   // for claim.  Each is emitted immediately *before* the status transition it
   // announces, so a perturbing observer can stall a thread exactly inside the
-  // three-way revoke race window (deadline revoke vs pump claim vs exit
-  // drain).
-  kExternalSubmit,  // external thread about to publish its record (Pending)
-  kExternalRevoke,  // external thread about to CAS Pending -> Free
+  // revoke races: owner revoke vs pump claim, and owner re-arm vs pump
+  // unlink of a revoked, still-linked slot.
+  kExternalSubmit,  // external thread about to publish its record: push
+                    // from Free or re-arm Revoked -> Pending (value = tid)
+  kExternalRevoke,  // external thread about to CAS Pending -> Revoked
                     // (value = tid; deque field unused)
-  kExternalClaim,   // pump (or quarantine/drain) about to CAS
-                    // Pending -> Executing (value = tid)
+  kExternalClaim,   // pump about to take a linked slot off its list:
+                    // Pending -> Executing or Revoked -> Free (value = tid)
   // service::ShardRouter pump parking: a pump has registered as parked
   // (parked++), fenced, and re-scanned every live shard empty, and is about
   // to sleep on the gate's epoch.  domain = the router.  A publish that lands

@@ -30,7 +30,6 @@
 // together they prove no request is lost between a client and a shard.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <thread>
@@ -45,8 +44,9 @@
 namespace batcher::service {
 
 // How one request ended.  Mirrors the domain-side counters: kOk/kFailed
-// resolve through the batch (or the close/quarantine drain), kTimedOut is a
-// deadline revocation, kShed never published (after retries, if any).
+// resolve through the batch (or the owner's revoke on close/quarantine),
+// kTimedOut is a deadline revocation, kShed never published (after retries,
+// if any).
 enum class Outcome : std::uint8_t { kOk, kFailed, kTimedOut, kShed };
 
 struct SloResult {
@@ -78,12 +78,7 @@ inline SloResult submit_slo(ExternalDomain& domain, std::size_t tid,
         return r;
       }
       ++r.retries;
-      const unsigned shift = attempt < 31u ? attempt : 31u;
-      const std::uint64_t full =
-          std::min<std::uint64_t>(policy.max_spins,
-                                  std::uint64_t{policy.base_spins} << shift);
-      const std::uint64_t spins = full / 2 + rng.next_below(full / 2 + 1);
-      for (std::uint64_t i = 0; i < spins; ++i) cpu_relax();
+      policy.backoff(attempt, rng);
     } catch (const OpTimedOut&) {
       r.outcome = Outcome::kTimedOut;
       return r;

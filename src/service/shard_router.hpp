@@ -21,14 +21,14 @@
 //    holds per domain.  At most one pump spins, sweeping every live shard;
 //    the others park on the router's PumpGate (batcher/external.hpp) and a
 //    submit that finds no spinner wakes one.  The spinner gives up its role
-//    when it claims a batch and takes it back before that batch's Done
-//    stores: with one request in flight the client never enters the kernel,
-//    and a request arriving during a long BOP wakes a parked pump instead
-//    of waiting behind it.  The last spinner never parks, so an idle
+//    for a pump step and takes it back before the Done stores of the step's
+//    last batch: with one request in flight the client never enters the
+//    kernel, and a request arriving during a long BOP wakes a parked pump
+//    instead of waiting behind it.  The last spinner never parks, so an idle
 //    service costs one spinning worker, whatever its shard count.  When a
-//    closed shard's scan comes back empty, the pump holding its flag runs
-//    drain_closed() exactly once and retires it; serve() returns when every
-//    shard is drained.
+//    closed shard's pump step comes back empty, the pump holding its flag
+//    retires it (its remaining submitters revoke their own records);
+//    serve() returns when every shard has retired.
 //
 // Submit-side semantics (deadlines, shedding, retry, quarantine) are
 // unchanged from ExternalDomain — the router only picks the domain.  The
@@ -66,7 +66,7 @@ class ShardRouter {
     // Client threads that may submit concurrently; becomes every shard
     // domain's `max_threads` (client tid t uses slot t in every shard).
     std::size_t max_threads = 1;
-    // Applied to every shard's ExternalDomain (batch_cap, shed_threshold,
+    // Applied to every shard's ExternalDomain (shed_threshold,
     // stall_probe).  Shedding is therefore a *per-shard* backlog bound.
     ExternalDomain::Options domain;
     // Pump tasks serve() spawns; 0 means min(num_shards, num_workers).
@@ -139,7 +139,7 @@ class ShardRouter {
   }
 
   // The multi-shard pump.  Run inside Scheduler::run (as the root task);
-  // returns once every shard is shut down and drained.
+  // returns once every shard is shut down and retired.
   void serve() {
     const std::size_t shards = shards_.size();
     BATCHER_ASSERT(shards != 0, "serve() with no shards");
@@ -159,7 +159,8 @@ class ShardRouter {
   }
 
   // Close every shard: blocked submits fail with DomainClosed, the pumps
-  // drain and serve() returns.  Safe from any thread; idempotent.
+  // retire every shard and serve() returns.  Safe from any thread;
+  // idempotent.
   void shutdown() {
     for (auto& s : shards_) s->domain.shutdown();
   }
@@ -214,7 +215,7 @@ class ShardRouter {
 
     ExternalDomain domain;
     std::atomic<bool> busy{false};     // held by the one pump pumping it
-    std::atomic<bool> retired{false};  // drained after close; skip forever
+    std::atomic<bool> retired{false};  // empty after close; skip forever
   };
 
   // Empty sweeps before a pump that is not the spinner parks, and before
@@ -267,23 +268,24 @@ class ShardRouter {
 
   // Called with `s.busy` held.
   bool pump_shard(Shard& s, bool& spinner) {
-    // Hand the spinning role over for the batch, so a submit landing during
-    // a long BOP wakes a parked pump; take it back before the Done stores,
-    // so the client's next publish finds a spinner and skips the wake.
+    // Hand the spinning role over for the step, so a submit landing during
+    // a long BOP wakes a parked pump; take it back before the Done stores of
+    // the step's last batch, so the client's next publish finds a spinner
+    // and skips the wake.
     if (spinner) {
       gate_.spinning.store(0);
       spinner = false;
     }
-    if (s.domain.pump_once([&] { spinner = take_role(); })) return true;
+    auto after_bop = [&](bool more) { if (!more) spinner = take_role(); };
+    if (s.domain.pump_once(after_bop)) return true;
     spinner = take_role();
     if (!s.domain.closed()) return false;
-    s.domain.drain_closed();
     s.retired.store(true, std::memory_order_release);
     if (live_.fetch_sub(1, std::memory_order_acq_rel) == 1) gate_.wake_all();
     return true;
   }
 
-  // True when some live shard has a pending record or a drain to run.
+  // True when some live shard has a record to serve or a close to retire.
   bool any_work() const {
     if (live_.load(std::memory_order_acquire) == 0) return true;
     for (const auto& shard : shards_) {

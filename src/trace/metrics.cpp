@@ -198,7 +198,12 @@ MetricsReport build_metrics(const Trace& trace) {
       if (is_worker) attr.on_record(r);
       switch (static_cast<EventId>(r.event)) {
         case EventId::kTaskBegin:
-          break;  // slices are an export concern; counts come from kTaskEnd
+          // Slices are an export concern; counts come from kTaskEnd.  A task
+          // the worker did not just steal is its own work: the search it was
+          // on ended without a steal, so drop the open streak.  (A won steal
+          // closed the streak before its task began.)
+          p.steal_streak_open = false;
+          break;
         case EventId::kTaskEnd:
           if (r.a16 == 0) {
             ++m.tasks_core;
@@ -232,6 +237,7 @@ MetricsReport build_metrics(const Trace& trace) {
           p.op_submit_ts = r.ts_ns;
           break;
         case EventId::kOpResume:
+          p.steal_streak_open = false;  // the trapped wait's search is over
           if (p.op_open) {
             m.op_latency.add(delta(p.op_submit_ts, r.ts_ns));
             p.op_open = false;
@@ -316,9 +322,11 @@ MetricsReport build_metrics(const Trace& trace) {
         case EventId::kOpShed:
           ++m.ops_shed;
           break;
+        case EventId::kParkBegin:
+          p.steal_streak_open = false;  // a parked worker is not searching
+          break;
         case EventId::kWorkerStart:
         case EventId::kWorkerExit:
-        case EventId::kParkBegin:
         case EventId::kParkEnd:
         case EventId::kJoinWaitBegin:
         case EventId::kJoinWaitEnd:

@@ -10,7 +10,10 @@
 //   collect_phase    kLaunchEnter -> kCollected   (LAUNCHBATCH step 1-2)
 //   run_phase        kCollected -> kBopDone       (the BOP itself)
 //   complete_phase   kBopDone -> kLaunchExit      (status flips + reopen)
-//   steal_to_success first miss of a streak -> the steal that succeeded
+//   steal_to_success first miss of a streak -> the steal that succeeded;
+//                    a streak the worker leaves without a won steal (it
+//                    starts a task of its own, resumes from batchify, or
+//                    parks) is dropped, so every sample is one search
 //
 // All pairings are per-thread and rely on protocol shape, not luck: batchify
 // never nests (a batch dag may not call batchify), and a worker holds at

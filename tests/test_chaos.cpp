@@ -11,10 +11,11 @@
 //      flags.  Driven by synthetic events, so these run in every build.
 //   2. Escalation — a wedged domain detected through the stall_probe →
 //      StallWatchdog::check_now() → escalation handler → quarantine path
-//      unblocks every submitter through legal slot edges.
+//      unblocks every submitter through legal slot edges (its own revoke,
+//      or fail_claimed for a record a wedged pump holds).
 //   3. Acceptance sweeps (live hooks, BATCHER_AUDIT builds): 500+ seeds of
-//      FaultSchedule chaos over the external ingress path, the three-way
-//      revoke race, and the multi-domain perturbed sweep.  Every seed must
+//      FaultSchedule chaos over the external ingress path, the revoke race
+//      (ThreeWayRevokeRace...), and the multi-domain perturbed sweep.  Every seed must
 //      end with zero auditor violations, a quiet watchdog, and the
 //      ops_served == ops_succeeded + ops_failed + ops_timed_out identity.
 #include <gtest/gtest.h>
@@ -161,9 +162,9 @@ TEST(FaultScheduleTest, WedgeActionMarksExactlyTheDrawnTid) {
 TEST(Escalation, StallProbeEscalatesAndQuarantineUnblocksSubmitter) {
   // A wedged pump never claims.  The blocked submitter itself detects the
   // stall — its stall_probe calls StallWatchdog::check_now(), the wall
-  // budget trips, and the escalation handler quarantines the domain, failing
-  // the pending record through legal slot edges.  The submitter unblocks
-  // with DomainQuarantined without any pump ever running.
+  // budget trips, and the escalation handler quarantines the domain.  The
+  // submitter then revokes its own pending record and unblocks with
+  // DomainQuarantined without any pump ever running.
   rt::Scheduler sched(2);
   ds::BatchedCounter counter(sched);
 
@@ -401,8 +402,9 @@ TEST(ChaosSweep, FaultScheduleSweepNeverHangsNeverLeaksOps) {
   EXPECT_GE(total_fired, kSeeds / 2) << total_fired;
 }
 
-// Three-way revoke race: the submitter's deadline-expiry CAS, the pump's
-// claim CAS, and the exit drain's CAS all target the same Pending byte.
+// Revoke race on one status byte, with two CASes left: the submitter's
+// Pending -> Revoked (on deadline expiry, or on seeing the shutdown that
+// client 0 issues mid-stream) and the pump's Pending -> Executing claim.
 // Exactly one side wins each record; no Done is ever lost and no op resolves
 // twice.  The perturber stretches the windows differently every seed.
 TEST(ChaosSweep, ThreeWayRevokeRaceResolvesEveryOpExactlyOnce) {
@@ -428,7 +430,7 @@ TEST(ChaosSweep, ThreeWayRevokeRaceResolvesEveryOpExactlyOnce) {
       for (std::size_t t = 0; t < kClients; ++t) {
         clients.emplace_back([&, t] {
           for (int i = 0; i < kOpsPerClient; ++i) {
-            // Client 0 closes the domain mid-stream so the exit drain joins
+            // Client 0 closes the domain mid-stream so shutdown revokes join
             // the race for the remaining records.
             if (t == 0 && i == kOpsPerClient / 2) domain.shutdown();
             ds::BatchedCounter::Op op;

@@ -77,6 +77,8 @@ TEST(ExternalDomain, ManyExternalThreadsLinearize) {
 }
 
 TEST(ExternalDomain, BatchCapRespected) {
+  // The pump serves at most P records per batch (Invariant 2): six clients
+  // over Scheduler(2) never see a batch above 2.
   rt::Scheduler sched(2);
   // A probe that records max batch size.
   struct NoopOp : OpRecordBase {};
@@ -89,7 +91,7 @@ TEST(ExternalDomain, BatchCapRespected) {
     }
   } probe;
   constexpr std::size_t kThreads = 6;
-  ExternalDomain domain(sched, probe, kThreads, /*batch_cap=*/2);
+  ExternalDomain domain(sched, probe, kThreads);
 
   std::atomic<int> finished{0};
   std::vector<std::thread> pool;
@@ -160,9 +162,8 @@ TEST(ExternalDomain, ServeStartedAfterOpsWerePublished) {
 }
 
 TEST(ExternalDomain, ZeroMaxThreadsThrowsInvalidArgument) {
-  // A domain with no submission slots could never serve anything, and its
-  // pump's rotating slot scan would divide by zero: refuse it up front, in
-  // every build.
+  // A domain with no submission slots could never serve anything: refuse
+  // it up front, in every build.
   rt::Scheduler sched(2);
   ds::BatchedCounter counter(sched);
   EXPECT_THROW(ExternalDomain(sched, counter, /*max_threads=*/0),
@@ -482,18 +483,19 @@ TEST(ExternalShed, RetryPolicyOutlastsTransientOverload) {
   EXPECT_EQ(counter.value_unsafe(), 2);
 }
 
-// --- serve() fairness -------------------------------------------------------
+// --- serve() fairness: first in, first out ----------------------------------
 
 TEST(ExternalServe, RotatingScanServesHighTidUnderSkewedLoad) {
-  // Regression for scan-from-zero starvation: with batch_cap=1 and low tids
-  // resubmitting the instant they are served, a fixed scan start would
-  // revisit the low slots (almost) exclusively; the rotating start resumes
-  // after the last examined slot, so every pending tid is served once per
-  // rotation and the high tid finishes in bounded time.
-  rt::Scheduler sched(2);
+  // Regression for scan-from-zero starvation: with one record per batch
+  // (Scheduler(1), so P = 1) and low tids resubmitting the instant they are
+  // served, a pump that favoured low slots would serve them (almost)
+  // exclusively.  The pump serves announced records first in, first out,
+  // so a resubmitted low tid queues behind the high tid's record and the
+  // high tid finishes in bounded time.
+  rt::Scheduler sched(1);
   ds::BatchedCounter counter(sched);
   constexpr std::size_t kThreads = 4;
-  ExternalDomain domain(sched, counter, kThreads, /*batch_cap=*/1);
+  ExternalDomain domain(sched, counter, kThreads);
 
   std::atomic<bool> high_done{false};
   std::vector<std::thread> spammers;
@@ -529,6 +531,201 @@ TEST(ExternalServe, RotatingScanServesHighTidUnderSkewedLoad) {
   EXPECT_GE(st.ops_succeeded, static_cast<std::uint64_t>(kHighOps));
   EXPECT_EQ(counter.value_unsafe(),
             static_cast<std::int64_t>(st.ops_succeeded));
+}
+
+// A pump step can claim more records than one batch takes.  Eight clients
+// publish over Scheduler(2), so P = 2, while the first batch is held in its
+// BOP; the domain shuts down mid-backlog.  Every record still resolves
+// exactly once: the pump serves those it claims before their owners revoke
+// them, and the owners of the rest revoke them and throw DomainClosed.
+TEST(ExternalServe, ShutdownMidBacklogResolvesEveryRecordOnce) {
+  struct HeldCounter final : BatchedStructure {
+    std::atomic<bool> entered{false};
+    std::atomic<bool> release{false};
+    std::int64_t sum = 0;
+    void run_batch(OpRecordBase* const* ops, std::size_t count) override {
+      entered.store(true, std::memory_order_release);
+      while (!release.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
+      for (std::size_t i = 0; i < count; ++i) {
+        auto* op = static_cast<ds::BatchedCounter::Op*>(ops[i]);
+        sum += op->delta;
+        op->result = sum;
+      }
+    }
+  };
+  constexpr std::size_t kClients = 8;
+  for (int iter = 0; iter < 20; ++iter) {
+    rt::Scheduler sched(2);
+    HeldCounter counter;
+    ExternalDomain domain(sched, counter, kClients);
+    std::atomic<std::uint64_t> ok{0};
+    std::atomic<std::uint64_t> closed{0};
+    std::vector<std::thread> clients;
+    for (std::size_t t = 0; t < kClients; ++t) {
+      clients.emplace_back([&, t] {
+        ds::BatchedCounter::Op op;
+        op.delta = 1;
+        try {
+          domain.submit(t, op);
+          ok.fetch_add(1);
+        } catch (const DomainClosed&) {
+          closed.fetch_add(1);
+        }
+      });
+    }
+    std::thread closer([&] {
+      while (!counter.entered.load(std::memory_order_acquire) ||
+             domain.pending_depth() < kClients) {
+        std::this_thread::yield();
+      }
+      domain.shutdown();
+      counter.release.store(true, std::memory_order_release);
+    });
+    sched.run([&] { domain.serve(); });
+    closer.join();
+    for (auto& th : clients) th.join();
+
+    const ExternalStats st = domain.stats();
+    EXPECT_EQ(st.ops_served, kClients) << "iter " << iter;
+    EXPECT_EQ(st.ops_served,
+              st.ops_succeeded + st.ops_failed + st.ops_timed_out)
+        << "iter " << iter;
+    EXPECT_EQ(st.ops_succeeded, ok.load()) << "iter " << iter;
+    EXPECT_EQ(st.ops_failed, closed.load()) << "iter " << iter;
+    EXPECT_GE(st.ops_succeeded, 1u) << "iter " << iter;  // the held batch
+    EXPECT_EQ(counter.sum, static_cast<std::int64_t>(ok.load()))
+        << "iter " << iter;
+    EXPECT_EQ(domain.pending_depth(), 0u) << "iter " << iter;
+    if (::testing::Test::HasFailure()) break;
+  }
+}
+
+// --- Re-arm race: a revoked record stays linked until the pump unlinks it ----
+
+// Forces one order of the race between the owner's re-arm of its revoked,
+// still-linked slot (Revoked -> Pending, no push) and the pump's unlink of
+// it (Revoked -> Free).  In both orders the client's first try_submit
+// publishes, the pump takes the slot off the announce list and is held at
+// kExternalClaim (before its CAS), and the client revokes the record.  Then:
+//  * kUnlinkFirst: the pump goes on and unlinks the slot.  The client's
+//    next submit waits in kExternalSubmit until the pump's step is over,
+//    so it finds the slot Free and pushes it again.
+//  * kReArmFirst: the client's next try_submit re-arms the slot while the
+//    pump still holds it.  Its kExternalRevoke hook (after the re-arm,
+//    before the revoke CAS) releases the pump and waits for the BOP to
+//    begin, so the pump's CAS finds Pending and claims the record.
+struct ReArmRace final : rt::hooks::ScheduleObserver {
+  enum class Order { kUnlinkFirst, kReArmFirst };
+  Order order = Order::kUnlinkFirst;
+  std::atomic<const ExternalDomain*> target{nullptr};
+  const std::atomic<bool>* bop_entered = nullptr;
+  std::atomic<int> claims{0};
+  std::atomic<int> revokes{0};
+  std::atomic<int> submits{0};
+  std::atomic<bool> release_pump{false};
+  std::atomic<int> steps{0};  // pump steps finished
+  std::atomic<int> held_step{0};
+
+  template <typename Cond>
+  static void wait_for(Cond cond) {
+    while (!cond()) std::this_thread::yield();
+  }
+
+  void on_event(const rt::hooks::HookEvent& e) override {
+    const ExternalDomain* d = target.load(std::memory_order_acquire);
+    if (d == nullptr || e.domain != d) return;
+    using P = rt::hooks::HookPoint;
+    if (e.point == P::kExternalClaim) {
+      if (claims.fetch_add(1) != 0) return;  // only the first claim is held
+      held_step.store(steps.load());
+      if (order == Order::kUnlinkFirst) {
+        wait_for([&] { return d->ops_timed_out() == 1; });
+      } else {
+        wait_for([&] { return release_pump.load(); });
+      }
+    } else if (e.point == P::kExternalRevoke) {
+      const int n = revokes.fetch_add(1);
+      if (n == 0) {
+        wait_for([&] { return claims.load() >= 1; });
+      } else if (n == 1 && order == Order::kReArmFirst) {
+        release_pump.store(true);
+        wait_for([&] { return bop_entered->load(); });
+      }
+    } else if (e.point == P::kExternalSubmit) {
+      if (submits.fetch_add(1) == 1 && order == Order::kUnlinkFirst) {
+        wait_for([&] { return steps.load() > held_step.load(); });
+      }
+    }
+  }
+};
+
+void run_rearm_race(ReArmRace::Order order) {
+  struct EnteredCounter final : BatchedStructure {
+    std::atomic<bool> entered{false};
+    std::int64_t sum = 0;
+    void run_batch(OpRecordBase* const* ops, std::size_t count) override {
+      entered.store(true);
+      for (std::size_t i = 0; i < count; ++i) {
+        auto* op = static_cast<ds::BatchedCounter::Op*>(ops[i]);
+        sum += op->delta;
+        op->result = sum;
+      }
+    }
+  } counter;
+  rt::Scheduler sched(2);
+  ExternalDomain domain(sched, counter, 1);
+  ReArmRace race;
+  race.order = order;
+  race.bop_entered = &counter.entered;
+  race.target.store(&domain);
+  rt::hooks::install_observer(&race);
+  std::thread client([&] {
+    ds::BatchedCounter::Op first;
+    first.delta = 1;
+    EXPECT_THROW(domain.try_submit(0, first), OpTimedOut);
+    ds::BatchedCounter::Op second;
+    second.delta = 1;
+    if (order == ReArmRace::Order::kUnlinkFirst) {
+      domain.submit(0, second);
+    } else {
+      domain.try_submit(0, second);  // claimed before its revoke: completes
+    }
+    EXPECT_EQ(second.result, 1);
+    domain.shutdown();
+  });
+  // serve(), counting the pump steps.
+  sched.run([&] {
+    while (domain.pump_once() || !domain.closed()) race.steps.fetch_add(1);
+  });
+  client.join();
+  rt::hooks::install_observer(nullptr);
+
+  // The first op was revoked and never applied; the second applied once.
+  const ExternalStats st = domain.stats();
+  EXPECT_EQ(st.ops_served, 2u);
+  EXPECT_EQ(st.ops_served, st.ops_succeeded + st.ops_failed + st.ops_timed_out);
+  EXPECT_EQ(st.ops_timed_out, 1u);
+  EXPECT_EQ(st.ops_succeeded, 1u);
+  EXPECT_EQ(st.ops_failed, 0u);
+  EXPECT_EQ(st.batches_served, 1u);
+  EXPECT_EQ(counter.sum, 1);
+  EXPECT_EQ(domain.pending_depth(), 0u);
+  // The pump met the slot twice (unlink, then claim of the new push) or
+  // once (claim of the re-armed record): the slot was never linked twice.
+  EXPECT_EQ(race.claims.load(),
+            order == ReArmRace::Order::kUnlinkFirst ? 2 : 1);
+}
+
+TEST(ExternalReArm, PumpUnlinksRevokedSlotBeforeOwnerResubmits) {
+  if (!rt::hooks::kEnabled) GTEST_SKIP() << "needs BATCHER_AUDIT hooks";
+  run_rearm_race(ReArmRace::Order::kUnlinkFirst);
+}
+
+TEST(ExternalReArm, OwnerReArmsRevokedSlotWhileStillLinked) {
+  if (!rt::hooks::kEnabled) GTEST_SKIP() << "needs BATCHER_AUDIT hooks";
+  run_rearm_race(ReArmRace::Order::kReArmFirst);
 }
 
 // --- Multi-domain composition -----------------------------------------------

@@ -356,5 +356,42 @@ TEST(TracePerturbedSweep, HistogramTotalsMatchStatsAcross1100Schedules) {
   audit.uninstall();
 }
 
+// steal_to_success measures one search: a miss, then the steal that won.
+// A streak the worker leaves without a win (it runs a task of its own,
+// resumes from batchify, or parks) is dropped, so on each synthetic stream
+// below — miss, interruption, miss, hit — the one sample spans only the
+// second miss to the hit (400 -> 700 ns), not the first miss (100 ns).
+TEST(TraceMetrics, StealToSuccessDropsStreakLeftWithoutAWin) {
+  using trace::EventId;
+  auto rec = [](std::uint64_t ts, EventId e, std::uint16_t a16 = 0) {
+    return trace::TraceRecord{ts, static_cast<std::uint16_t>(e), a16, 0};
+  };
+  const std::vector<std::vector<trace::TraceRecord>> interruptions = {
+      {rec(200, EventId::kTaskBegin), rec(300, EventId::kTaskEnd)},
+      {rec(150, EventId::kOpSubmit), rec(200, EventId::kOpResume)},
+      {rec(200, EventId::kParkBegin), rec(300, EventId::kParkEnd)},
+  };
+  for (const auto& interruption : interruptions) {
+    trace::TraceThread thread;
+    thread.worker_id = 0;
+    thread.records.push_back(rec(100, EventId::kSteal));  // miss
+    thread.records.insert(thread.records.end(), interruption.begin(),
+                          interruption.end());
+    thread.records.push_back(rec(400, EventId::kSteal));  // miss
+    thread.records.push_back(rec(700, EventId::kSteal, trace::kStealSuccess));
+    thread.records.push_back(rec(710, EventId::kTaskBegin));  // stolen task
+    thread.records.push_back(rec(800, EventId::kTaskEnd));
+    trace::Trace t;
+    t.t0_ns = 0;
+    t.t1_ns = 1000;
+    t.threads.push_back(thread);
+    const trace::MetricsReport m = trace::build_metrics(t);
+    const auto what = static_cast<EventId>(interruption.back().event);
+    EXPECT_EQ(m.steal_to_success.count(), 1u) << static_cast<int>(what);
+    EXPECT_EQ(m.steal_to_success.min_ns(), 300u) << static_cast<int>(what);
+    EXPECT_EQ(m.steal_to_success.max_ns(), 300u) << static_cast<int>(what);
+  }
+}
+
 }  // namespace
 }  // namespace batcher

@@ -46,14 +46,26 @@ Unit "x", lower-better, so --metric span_growth/ gates a rewrite that made
 batch span grow faster with batch size.  Unlabeled domains (transient
 throughput-lane structures with recycled ids) synthesize nothing.
 
+Gate manifest: --manifest FILE --candidate-dir DIR --report NAME
+(repeatable) runs every manifest entry whose "report" is one of the named
+reports, against DIR/NAME.  Each entry of the manifest's "gates" list holds
+one comparison: "report" (the baseline is the file of that name next to
+the manifest), "metric" and "exact" prefix lists, "tolerance" and
+optionally "report_only".  A named report whose candidate file is missing, or that no
+entry gates, fails the run; so does any failing entry.  CI keeps its gates
+in bench/results/gates.json, so a new gate is one entry of data.
+
 Usage:
     python3 tools/bench_compare.py --baseline bench/results/BENCH_counter.json \
         --candidate bench-out/BENCH_counter.json \
         --metric sim_makespan/ --tolerance 0.05
+    python3 tools/bench_compare.py --manifest bench/results/gates.json \
+        --candidate-dir bench-out --report BENCH_counter.json
 """
 
 import argparse
 import json
+import os
 import sys
 
 HIGHER_BETTER_UNITS = {"1/s"}
@@ -178,26 +190,22 @@ def classify(name, base, cand, unit, tolerance):
     return "same", rel
 
 
-def main():
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--baseline", required=True)
-    parser.add_argument("--candidate", required=True)
-    parser.add_argument("--tolerance", type=float, default=0.10,
-                        help="relative tolerance before a change gates "
-                             "(default 0.10)")
-    parser.add_argument("--metric", action="append", default=[],
-                        help="gate only metrics whose name starts with this "
-                             "prefix (repeatable); others are report-only")
-    parser.add_argument("--exact", action="append", default=[],
-                        help="gate metrics whose name starts with this prefix "
-                             "on exact equality (repeatable); direction and "
-                             "tolerance do not apply")
-    parser.add_argument("--report-only", action="store_true",
-                        help="never fail, just print the comparison")
-    args = parser.parse_args()
+def unmatched_metric_prefixes(base, metric, exact):
+    """The --metric prefixes that match no gateable baseline row: a row
+    gates when --exact covers it or its unit has a direction."""
+    def is_exact(name):
+        return any(name.startswith(p) for p in exact)
+    return [prefix for prefix in metric
+            if not any(name.startswith(prefix)
+                       and (is_exact(name) or directional(unit))
+                       for name, (_, unit) in base.items())]
 
-    base_name, base, _ = load_metrics(args.baseline)
-    cand_name, cand, cand_empty = load_metrics(args.candidate)
+
+def compare(baseline, candidate, tolerance=0.10, metric=(), exact=(),
+            report_only=False):
+    """Prints the comparison of two reports; returns the exit status."""
+    base_name, base, _ = load_metrics(baseline)
+    cand_name, cand, cand_empty = load_metrics(candidate)
     if base_name != cand_name:
         print(f"note: comparing different reports "
               f"({base_name!r} vs {cand_name!r})")
@@ -213,12 +221,12 @@ def main():
         return ""
 
     def gated(name):
-        if not args.metric:
+        if not metric:
             return True
-        return any(name.startswith(p) for p in args.metric)
+        return any(name.startswith(p) for p in metric)
 
-    def exact(name):
-        return any(name.startswith(p) for p in args.exact)
+    def is_exact(name):
+        return any(name.startswith(p) for p in exact)
 
     gate_failures = 0
     exact_failures = 0
@@ -231,13 +239,13 @@ def main():
         if name not in cand:
             note = empty_note(name)
             print(f"  MISSING  {name} (baseline {base[name][0]:g}){note}")
-            if (gated(name) or exact(name)) and not args.report_only:
+            if (gated(name) or is_exact(name)) and not report_only:
                 missing_gated.append(name + note)
             continue
         bval, bunit = base[name]
         cval, cunit = cand[name]
         unit = bunit or cunit
-        if exact(name):
+        if is_exact(name):
             matches = bval == cval
             tag = "ok" if matches else "DIFF"
             print(f"  {tag:<8} {name}: {bval:g} -> {cval:g} (exact)")
@@ -245,7 +253,7 @@ def main():
             if not matches:
                 exact_failures += 1
             continue
-        status, rel = classify(name, bval, cval, unit, args.tolerance)
+        status, rel = classify(name, bval, cval, unit, tolerance)
         tag = {"better": "BETTER", "same": "ok", "worse": "WORSE",
                "info": "info"}[status]
         scope = "gated" if gated(name) and status != "info" else "report"
@@ -257,17 +265,14 @@ def main():
 
     if rows == 0 and not missing_gated:
         print("no comparable metrics found")
-    if args.report_only:
+    if report_only:
         return 0
     failed = False
-    for prefix in args.metric:
-        if not any(name.startswith(prefix)
-                   and (exact(name) or directional(unit))
-                   for name, (_, unit) in base.items()):
-            print(f"FAIL: --metric {prefix!r} matches no gateable baseline "
-                  f"row (none, or only rows whose unit has no direction); "
-                  f"use --exact for deterministic unitless rows")
-            failed = True
+    for prefix in unmatched_metric_prefixes(base, metric, exact):
+        print(f"FAIL: --metric {prefix!r} matches no gateable baseline "
+              f"row (none, or only rows whose unit has no direction); "
+              f"use --exact for deterministic unitless rows")
+        failed = True
     if missing_gated:
         # Name every absent metric: a gated baseline metric the candidate no
         # longer reports is a coverage regression, not a slowdown, and the
@@ -277,7 +282,7 @@ def main():
         failed = True
     if gate_failures > 0:
         print(f"FAIL: {gate_failures} gated metric(s) regressed beyond "
-              f"{args.tolerance:.0%}")
+              f"{tolerance:.0%}")
         failed = True
     if exact_failures > 0:
         print(f"FAIL: {exact_failures} exact-match metric(s) differ from "
@@ -287,6 +292,75 @@ def main():
         return 1
     print("PASS: no gated regressions")
     return 0
+
+
+def load_manifest(path):
+    """The manifest's gate entries."""
+    with open(path, encoding="utf-8") as f:
+        return json.load(f)["gates"]
+
+
+def run_manifest(manifest, candidate_dir, reports):
+    """Runs the manifest entries of the named reports, each against the
+    baseline of the same name next to the manifest; returns the exit
+    status."""
+    entries = load_manifest(manifest)
+    root = os.path.dirname(os.path.abspath(manifest))
+    status = 0
+    for report in reports:
+        selected = [e for e in entries if e["report"] == report]
+        candidate = os.path.join(candidate_dir, report)
+        if not selected:
+            print(f"FAIL: no entry of {manifest} gates {report}")
+            status = 1
+            continue
+        if not os.path.exists(candidate):
+            print(f"FAIL: candidate report {candidate} is missing")
+            status = 1
+            continue
+        for e in selected:
+            print(f"== {report}: metric {e['metric']} exact {e['exact']} "
+                  f"tolerance {e['tolerance']}"
+                  + (" (report only)" if e.get("report_only") else ""))
+            status |= compare(os.path.join(root, report), candidate,
+                              e["tolerance"],
+                              e["metric"], e["exact"],
+                              e.get("report_only", False))
+    return status
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--baseline")
+    parser.add_argument("--candidate")
+    parser.add_argument("--tolerance", type=float, default=0.10,
+                        help="relative tolerance before a change gates "
+                             "(default 0.10)")
+    parser.add_argument("--metric", action="append", default=[],
+                        help="gate only metrics whose name starts with this "
+                             "prefix (repeatable); others are report-only")
+    parser.add_argument("--exact", action="append", default=[],
+                        help="gate metrics whose name starts with this prefix "
+                             "on exact equality (repeatable); direction and "
+                             "tolerance do not apply")
+    parser.add_argument("--report-only", action="store_true",
+                        help="never fail, just print the comparison")
+    parser.add_argument("--manifest",
+                        help="run this gate manifest's entries instead")
+    parser.add_argument("--candidate-dir",
+                        help="with --manifest: where the candidate reports are")
+    parser.add_argument("--report", action="append", default=[],
+                        help="with --manifest: a report whose entries run "
+                             "(repeatable)")
+    args = parser.parse_args()
+    if args.manifest:
+        if not args.candidate_dir or not args.report:
+            parser.error("--manifest needs --candidate-dir and --report")
+        return run_manifest(args.manifest, args.candidate_dir, args.report)
+    if not args.baseline or not args.candidate:
+        parser.error("--baseline and --candidate are required")
+    return compare(args.baseline, args.candidate, args.tolerance, args.metric,
+                   args.exact, args.report_only)
 
 
 if __name__ == "__main__":

@@ -435,5 +435,93 @@ class BenchCompareTest(unittest.TestCase):
         self.assertIn("NEW", out)
 
 
+    def run_manifest(self, entries, reports, candidates):
+        """Writes a manifest of `entries` and the candidate reports
+        {file name: metrics} into the temp dir, then runs the manifest mode
+        for `reports`.  Returns (exit_code, captured_stdout)."""
+        manifest = os.path.join(self.tmp.name, "gates.json")
+        with open(manifest, "w", encoding="utf-8") as f:
+            json.dump({"gates": entries}, f)
+        cand_dir = os.path.join(self.tmp.name, "out")
+        os.makedirs(cand_dir, exist_ok=True)
+        for name, metrics in candidates.items():
+            make_report(os.path.join(cand_dir, name), metrics)
+        argv = ["bench_compare.py", "--manifest", manifest,
+                "--candidate-dir", cand_dir]
+        for report in reports:
+            argv += ["--report", report]
+        out = io.StringIO()
+        old_argv = sys.argv
+        sys.argv = argv
+        try:
+            with contextlib.redirect_stdout(out):
+                code = self.module.main()
+        finally:
+            sys.argv = old_argv
+        return code, out.getvalue()
+
+    def manifest_fixture(self):
+        make_report(os.path.join(self.tmp.name, "BENCH_a.json"),
+                    [("sim_makespan/A/P=4", 100, "steps")])
+        make_report(os.path.join(self.tmp.name, "BENCH_b.json"),
+                    [("ops/x", 5, "count")])
+        return [
+            {"report": "BENCH_a.json", "metric": ["sim_makespan/"],
+             "exact": [], "tolerance": 0.02},
+            {"report": "BENCH_b.json", "metric": [], "exact": ["ops/"],
+             "tolerance": 0.10},
+        ]
+
+    def test_manifest_runs_the_named_reports_entries(self):
+        entries = self.manifest_fixture()
+        # BENCH_b's candidate differs but is not named, so it does not run.
+        code, out = self.run_manifest(
+            entries, ["BENCH_a.json"],
+            {"BENCH_a.json": [("sim_makespan/A/P=4", 101, "steps")],
+             "BENCH_b.json": [("ops/x", 6, "count")]})
+        self.assertEqual(code, 0, out)
+        self.assertNotIn("ops/x", out)
+        code, out = self.run_manifest(
+            entries, ["BENCH_a.json", "BENCH_b.json"],
+            {"BENCH_a.json": [("sim_makespan/A/P=4", 101, "steps")],
+             "BENCH_b.json": [("ops/x", 6, "count")]})
+        self.assertEqual(code, 1)
+        self.assertIn("exact-match metric(s) differ", out)
+
+    def test_manifest_missing_candidate_report_fails(self):
+        code, out = self.run_manifest(self.manifest_fixture(),
+                                      ["BENCH_a.json"], {})
+        self.assertEqual(code, 1)
+        self.assertIn("BENCH_a.json is missing", out)
+
+    def test_manifest_report_without_an_entry_fails(self):
+        code, out = self.run_manifest(
+            self.manifest_fixture(), ["BENCH_c.json"],
+            {"BENCH_c.json": [("ops/x", 5, "count")]})
+        self.assertEqual(code, 1)
+        self.assertIn("gates BENCH_c.json", out)
+
+    def test_committed_gate_manifest_matches_its_baselines(self):
+        # CI's gates: every baseline exists, every --metric prefix matches a
+        # gateable baseline row, and every --exact prefix matches some row,
+        # so no entry can pass by comparing nothing.
+        manifest = os.path.join(os.path.dirname(TOOLS_DIR), "bench",
+                                "results", "gates.json")
+        entries = self.module.load_manifest(manifest)
+        self.assertEqual(len(entries), 10)
+        for e in entries:
+            where = f"{e['report']} {e['metric']} {e['exact']}"
+            baseline = os.path.join(os.path.dirname(manifest), e["report"])
+            self.assertTrue(os.path.exists(baseline), where)
+            self.assertIsInstance(e["tolerance"], float, where)
+            _, base, _ = self.module.load_metrics(baseline)
+            self.assertEqual(
+                self.module.unmatched_metric_prefixes(
+                    base, e["metric"], e["exact"]), [], where)
+            for prefix in e["exact"]:
+                self.assertTrue(any(n.startswith(prefix) for n in base),
+                                f"{where}: --exact {prefix!r}")
+
+
 if __name__ == "__main__":
     unittest.main()
