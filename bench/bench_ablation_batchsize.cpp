@@ -22,7 +22,6 @@ int main() {
                 "accrue-k (simulated)");
 
   bench::Report report("ablation_batchsize");
-  bench::TraceScope trace(report);
   bench::note("simulated, P=8, skip-list cost model, 4096 ops");
   bench::row("%-12s %-10s %12s %12s %10s", "min batch", "max wait", "makespan",
              "batches", "mean size");

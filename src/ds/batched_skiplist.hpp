@@ -6,7 +6,7 @@
 //      them (prep::sort_tagged: std::sort up to the sort cutoff, parallel
 //      merge sort above it);
 //   2. search the main list for every key's per-level predecessors and
-//      successors, in interleaved groups of 8 (kGroup) consecutive sorted
+//      successors, in interleaved groups of 16 (kGroup) consecutive sorted
 //      keys.  The searches are read-only and independent, but each is a
 //      chain of dependent loads through a list far larger than the cache, so
 //      a lone descent mostly waits on misses.  Every forward link caches its
@@ -112,9 +112,10 @@ class BatchedSkipList final : public BatchedStructure {
   static constexpr int kMaxHeight = 24;
   // Descents interleaved by find_preds_group.  The useful depth is how many
   // misses one core keeps in flight, a property of the memory system, not
-  // of the workload, so it is a constant.  Sixteen measured within noise of
-  // eight (DESIGN.md §16).
-  static constexpr int kGroup = 8;
+  // of the workload, so it is a constant.  With key-cached links sixteen
+  // cut the fig5_insert search 11% below eight, and 32 read the same as
+  // sixteen (DESIGN.md §16).
+  static constexpr int kGroup = 16;
 
   // The key a null link caches.  A descent moves right only on
   // `link.key < probe`, which kNoKey never satisfies, and a hit also needs a

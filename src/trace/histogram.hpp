@@ -8,12 +8,13 @@
 // is safe and an overflowing bucket pins at "full" instead of wrapping.
 //
 // count/sum/min/max ride along for exact means; percentiles come from the
-// buckets and are therefore bounded by one power of two of error, which is
-// the right fidelity for the latency-distribution questions the paper's
-// analysis raises (is the flag held O(batch) time? is op latency bimodal
-// between launchers and trapped helpers?).
+// buckets, clamped to [min, max], and are therefore bounded by one power of
+// two of error, which is the right fidelity for the latency-distribution
+// questions the paper's analysis raises (is the flag held O(batch) time? is
+// op latency bimodal between launchers and trapped helpers?).
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 
@@ -97,7 +98,8 @@ class LatencyHistogram {
   }
 
   // Upper bound (bucket ceiling) of the bucket containing the q-quantile,
-  // q in [0, 1].  Returns 0 for an empty histogram.
+  // q in [0, 1], clamped to [min_ns, max_ns]: a ceiling past the largest
+  // sample bounds nothing.  Returns 0 for an empty histogram.
   std::uint64_t percentile_ns(double q) const {
     const std::uint64_t n = count();
     if (n == 0) return 0;
@@ -108,7 +110,7 @@ class LatencyHistogram {
     for (std::size_t i = 0; i < kBuckets; ++i) {
       seen += bucket(i);
       if (static_cast<double>(seen) >= target && seen > 0) {
-        return bucket_ceil_ns(i);
+        return std::min(std::max(bucket_ceil_ns(i), min_ns()), max_ns());
       }
     }
     return max_ns();

@@ -357,8 +357,8 @@ void histogram_to_json(const LatencyHistogram& h, json::Writer& w) {
   w.kv("p90_ns", h.percentile_ns(0.90));
   w.kv("p99_ns", h.percentile_ns(0.99));
   // SLO gating reads the tail: p999 quantizes to the same power-of-two
-  // bucket ceilings as the other percentiles (up to 2x overstatement),
-  // so compare gates on it use generous tolerances.
+  // bucket ceilings as the other percentiles (up to 2x overstatement, never
+  // past max_ns), so compare gates on it use generous tolerances.
   w.kv("p999_ns", h.percentile_ns(0.999));
   w.key("buckets").begin_array();
   for (std::size_t i = 0; i < LatencyHistogram::kBuckets; ++i) {

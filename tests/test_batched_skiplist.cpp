@@ -320,9 +320,10 @@ TEST(BatchedSkipList, EraseEverythingThenReinsert) {
 
 // ---------------------------------------------------------------------------
 // Interleaved search groups.  The BOP searches a phase's sorted keys in
-// groups of 8 consecutive keys, and reads in groups of 8 records.  These
-// batches sit around the group edges (1, 7, 8, 9, 15, 16, 17 and 150
-// records), run through run_batch at P = 1..4, and are checked against a
+// groups of 16 (kGroup) consecutive keys, and reads in groups of 16
+// records.  These batches sit around the group edges (1, 7, 8, 9, 15, 16,
+// 17, 31, 32, 33 and 150 records; 8 was the group size before 16), run
+// through run_batch at P = 1..4, and are checked against a
 // std::set model of the documented phase order: reads see the pre-batch
 // set, then erases, then inserts, the first record winning on a duplicate
 // key (a single Insert before any MultiInsert payload).
@@ -330,7 +331,8 @@ TEST(BatchedSkipList, EraseEverythingThenReinsert) {
 
 using Kind = BatchedSkipList::Kind;
 
-constexpr std::size_t kGroupEdgeSizes[] = {1, 7, 8, 9, 15, 16, 17, 150};
+constexpr std::size_t kGroupEdgeSizes[] = {1,  7,  8,  9,  15, 16,
+                                           17, 31, 32, 33, 150};
 
 struct Rec {
   Kind kind = Kind::Insert;
@@ -474,8 +476,9 @@ TEST_P(SkipListGroupParam, MixedBatchesAroundGroupEdgesMatchSetModel) {
   }
 }
 
-// Sorted keys k0 < k1 < ... laid out so that every group of 8 after the
-// first opens with a second copy of the previous group's last key.
+// Sorted keys k0 < k1 < ... laid out so that every eighth key repeats the
+// key before it: every search group after the first (16 keys) opens with a
+// second copy of the previous group's last key, and so does its middle.
 std::vector<Key> keys_with_group_opening_duplicates(std::size_t n, Key base) {
   std::vector<Key> keys;
   Key next = base;
@@ -549,6 +552,36 @@ TEST_P(SkipListGroupParam, BatchRaisingTheHeightSearchesFromTheNewTop) {
   for (int round = 0; round < 20; ++round) {
     ASSERT_NO_FATAL_FAILURE(
         run_and_check(sched, list, model, random_batch(rng, model, 150)));
+  }
+}
+
+// Read-only batches of 15, 16, 17 and 33 Contains/Successor/RangeCount
+// records: apply_reads searches them in groups of 16 records, so the last
+// group holds 15, 16, 1 or 1 of them.  The list is pre-populated, so the
+// descents take real right moves at several levels.
+TEST_P(SkipListGroupParam, ReadBatchesAroundGroupEdgesMatchSetModel) {
+  constexpr std::size_t kReadSizes[] = {15, 16, 17, 33};
+  constexpr Kind kReads[] = {Kind::Contains, Kind::Successor,
+                             Kind::RangeCount};
+  rt::Scheduler sched(GetParam());
+  BatchedSkipList list(sched, 5);
+  std::set<Key> model;
+  for (Key k = 0; k < 3000; k += 3) {
+    ASSERT_TRUE(list.insert_unsafe(k));
+    model.insert(k);
+  }
+  Xoshiro256 rng(GetParam() + 90);
+  for (const std::size_t n : kReadSizes) {
+    SCOPED_TRACE(testing::Message() << "batch size " << n);
+    for (int round = 0; round < 20; ++round) {
+      std::vector<Rec> recs(n);
+      for (Rec& r : recs) {
+        r.kind = kReads[rng.next_below(std::size(kReads))];
+        r.key = static_cast<Key>(rng.next_below(3100)) - 50;
+        r.key2 = r.key + static_cast<Key>(rng.next_below(40));
+      }
+      ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, recs));
+    }
   }
 }
 

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <set>
@@ -188,6 +190,113 @@ TEST(Arena, MoveAssignmentReleasesOldBlocks) {
   EXPECT_EQ(::mincore(old_block, 4096, &resident), -1);
   EXPECT_EQ(errno, ENOMEM);
   EXPECT_EQ(*kept, 7);  // the moved-in block is still live
+}
+
+// Spare blocks.  An arena that opens its second block asks the filler
+// thread for a faulted-in spare; add_block takes it when it is ready and maps
+// a block itself when it is not.  These tests wait on the filler with a
+// generous deadline, so a slow host reads as a failed wait, not a hang.
+bool eventually(const auto& pred) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  return true;
+}
+
+// Fills `blocks` whole blocks with 1008-byte allocations (2080 per block,
+// with a 512-byte tail left over), waiting for a ready spare before every
+// block after the second when `wait_for_spare`.  Checks alignment, writes a
+// per-allocation tag and returns the allocations.
+std::vector<char*> fill_blocks(Arena& arena, int blocks, bool wait_for_spare) {
+  constexpr std::size_t kSize = 1000;  // rounds up to 1008
+  constexpr int kPerBlock = static_cast<int>(Arena::kHugePage / 1008);
+  std::vector<char*> ptrs;
+  for (int b = 0; b < blocks; ++b) {
+    if (wait_for_spare && b >= 2) {
+      EXPECT_TRUE(eventually([&] { return arena.spare_ready(); }));
+    }
+    for (int i = 0; i < kPerBlock; ++i) {
+      char* p = static_cast<char*>(arena.allocate(kSize));
+      EXPECT_EQ(reinterpret_cast<std::uintptr_t>(p) % 16, 0u);
+      std::memset(p, static_cast<int>(ptrs.size() & 0x7f), kSize);
+      ptrs.push_back(p);
+    }
+  }
+  return ptrs;
+}
+
+void expect_disjoint_and_intact(std::vector<char*> ptrs) {
+  for (std::size_t i = 0; i < ptrs.size(); ++i) {
+    ASSERT_EQ(ptrs[i][0], static_cast<char>(i & 0x7f)) << "allocation " << i;
+    ASSERT_EQ(ptrs[i][999], static_cast<char>(i & 0x7f)) << "allocation " << i;
+  }
+  std::sort(ptrs.begin(), ptrs.end());
+  for (std::size_t i = 1; i < ptrs.size(); ++i) {
+    ASSERT_GE(ptrs[i] - ptrs[i - 1], 1008) << "allocation " << i;
+  }
+}
+
+TEST(Arena, SpareBlocksKeepAllocationsAlignedDisjointAndWritable) {
+  Arena waited;
+  const std::vector<char*> a = fill_blocks(waited, 6, /*wait_for_spare=*/true);
+  EXPECT_TRUE(waited.has_spare());
+  expect_disjoint_and_intact(a);
+  // Back to back: most blocks open while the next fill is still running.
+  Arena raced;
+  const std::vector<char*> b = fill_blocks(raced, 6, /*wait_for_spare=*/false);
+  expect_disjoint_and_intact(b);
+}
+
+TEST(Arena, WithinOneBlockNeverRequestsASpare) {
+  Arena arena;
+  for (int i = 0; i < 2000; ++i) arena.allocate(1000);  // < 2 MiB in all
+  EXPECT_FALSE(arena.has_spare());
+  EXPECT_FALSE(arena.spare_ready());
+  Arena big(3 * Arena::kHugePage);  // one 6 MiB block
+  for (int i = 0; i < 6000; ++i) big.allocate(1000);
+  EXPECT_FALSE(big.has_spare());
+}
+
+// Destroying an arena right after it asked for a spare hands the pending
+// fill to the filler, which unmaps the block and frees the spare; under ASan
+// a double free or a use after free of the spare crashes here.
+TEST(Arena, DestroyedWhileItsSpareIsFillingLeaksNothing) {
+  const std::size_t before = Arena::spares_live();
+  for (int i = 0; i < 50; ++i) {
+    Arena arena;
+    arena.allocate(Arena::kHugePage);
+    arena.allocate(64);  // opens the second block and asks for a spare
+    EXPECT_TRUE(arena.has_spare());
+  }
+  EXPECT_TRUE(eventually([&] { return Arena::spares_live() <= before; }))
+      << Arena::spares_live() << " spares still alive";
+}
+
+TEST(Arena, MovesWhileAFillIsPendingKeepTheSpare) {
+  const std::size_t before = Arena::spares_live();
+  {
+    Arena source;
+    source.allocate(Arena::kHugePage);
+    int* kept = source.create<int>(11);  // second block: a fill is pending
+    Arena moved = std::move(source);
+    EXPECT_FALSE(source.has_spare());
+    EXPECT_TRUE(moved.has_spare());
+    Arena assigned;
+    assigned.allocate(Arena::kHugePage);
+    assigned.allocate(64);  // its own pending fill, abandoned below
+    assigned = std::move(moved);
+    EXPECT_TRUE(assigned.has_spare());
+    EXPECT_EQ(*kept, 11);
+    const std::vector<char*> more =
+        fill_blocks(assigned, 3, /*wait_for_spare=*/true);
+    expect_disjoint_and_intact(more);
+    EXPECT_EQ(*kept, 11);
+  }
+  EXPECT_TRUE(eventually([&] { return Arena::spares_live() <= before; }))
+      << Arena::spares_live() << " spares still alive";
 }
 
 TEST(Stopwatch, MonotonicNonNegative) {

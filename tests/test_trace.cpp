@@ -29,6 +29,7 @@
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
 #include "support/timing.hpp"
+#include "trace/histogram.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_ring.hpp"
@@ -139,6 +140,23 @@ TEST(TraceRing, DrainWhileWritingStaysMonotonicAndAccountsEveryRecord) {
   EXPECT_EQ(kept + dropped, kWritten);
   EXPECT_EQ(last_ts, kWritten);  // the newest record always survives
   EXPECT_GT(kept, 0u);
+}
+
+// A percentile is its bucket's ceiling clamped to the samples' range, so it
+// never reads past the largest sample (nor below the smallest).
+TEST(LatencyHistogram, PercentilesClampToTheSamplesRange) {
+  trace::LatencyHistogram h;
+  EXPECT_EQ(h.percentile_ns(0.5), 0u);
+  h.add(1000);  // bucket [512, 1024)
+  EXPECT_EQ(h.percentile_ns(0.0), 1000u);
+  EXPECT_EQ(h.percentile_ns(0.5), 1000u);
+  EXPECT_EQ(h.percentile_ns(0.999), 1000u);
+  h.add(3);  // bucket [2, 4)
+  EXPECT_EQ(h.percentile_ns(0.5), 4u);
+  EXPECT_EQ(h.percentile_ns(0.999), 1000u);
+  trace::LatencyHistogram zero;
+  zero.add(0);
+  EXPECT_EQ(zero.percentile_ns(0.5), 0u);
 }
 
 // --- 2. Disabled-path guarantees -------------------------------------------

@@ -74,5 +74,17 @@ class AnnounceIdentity(unittest.TestCase):
         self.assertTrue(any("announce_pushes" in e for e in check(bad)))
 
 
+class HistogramRange(unittest.TestCase):
+    def test_p999_past_max_is_caught(self):
+        report = load_json(
+            os.path.join(ROOT, "bench", "results", "BENCH_service.json"))
+        bad = copy.deepcopy(report)
+        h = bad["histograms"]["service_uniform_ns"]
+        h["p999_ns"] = h["max_ns"] + 1
+        errors = check(bad)
+        self.assertEqual(len(errors), 1, errors)
+        self.assertIn("exceeds max_ns", errors[0])
+
+
 if __name__ == "__main__":
     unittest.main()

@@ -185,8 +185,9 @@ def reconcile(report, errors):
 
     # Bench-owned histograms (the service SLO latencies): bucket counts must
     # account for every recorded sample, and each exported percentile must be
-    # a representable bucket ceiling bounded by the next percentile up —
-    # p50 <= p99 <= p999 by definition of a quantile over one distribution.
+    # bounded by the next percentile up — p50 <= p99 <= p999 by definition of
+    # a quantile over one distribution — and p999 by the largest sample (a
+    # percentile is its bucket's ceiling clamped to [min_ns, max_ns]).
     for hname, h in sorted(report.get("histograms", {}).items()):
         path = f"$.histograms.{hname}"
         bucket_sum = sum(b["count"] for b in h["buckets"])
@@ -201,6 +202,10 @@ def reconcile(report, errors):
         if h["count"] > 0 and h["p999_ns"] == 0:
             errors.append(
                 f"{path}: nonempty histogram exports p999_ns = 0")
+        if h["count"] > 0 and h["p999_ns"] > h["max_ns"]:
+            errors.append(
+                f"{path}: p999_ns {h['p999_ns']} exceeds max_ns "
+                f"{h['max_ns']}")
 
     reconcile_ledger(report, errors)
 
