@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "parallel/reduce.hpp"
+#include "parallel/scan.hpp"
 #include "runtime/api.hpp"
 #include "support/config.hpp"
 
@@ -133,23 +133,21 @@ void BatchedPriorityQueue::run_batch(OpRecordBase* const* ops,
     (op->kind == Kind::Insert ? insert_ops_ : extract_ops_).push_back(op);
   }
 
-  // INSERT phase: build the batch heap with a parallel meld reduction
-  // (meld is O(1), so the reduction is O(x) work, O(lg x) span), then one
-  // meld into the main heap.
+  // INSERT phase: build the batch heap with a meld reduction (meld is O(1),
+  // so the reduction is O(x) work), then one meld into the main heap.
   if (!insert_ops_.empty()) {
     // Allocation is sequential (the arena/free list are single-threaded by
-    // design); only the meld reduction runs in parallel, and each meld
+    // design); only the meld reduction may run in parallel, and each meld
     // touches a disjoint pair of nodes.
     std::vector<Node*> nodes(insert_ops_.size());
     for (std::size_t i = 0; i < insert_ops_.size(); ++i) {
       nodes[i] = make_node(insert_ops_[i]->key);
     }
-    Node* batch_heap = par::parallel_reduce<Node*>(
-        0, static_cast<std::int64_t>(nodes.size()),
-        static_cast<Node*>(nullptr),
+    Node* batch_heap = par::reduce<Node*>(
+        static_cast<std::int64_t>(nodes.size()),
         [&](std::int64_t i) { return nodes[static_cast<std::size_t>(i)]; },
         [](Node* a, Node* b) { return meld(a, b); },
-        /*grain=*/1);
+        static_cast<Node*>(nullptr));
     root_ = meld(root_, batch_heap);
     size_ += insert_ops_.size();
   }

@@ -3,8 +3,9 @@
 // The paper's introduction motivates batched data structures with parallel
 // priority queues used in shortest-path algorithms [8, 12, 13, 32]; this is
 // the implicit-batching counterpart.  The heap is a pairing heap with O(1)
-// meld: a batch's inserts are melded together by a parallel tree-shaped
-// reduction (O(x) work, O(lg x) span) and attached to the root in O(1);
+// meld: a batch's inserts are melded together by par::reduce (O(x) work;
+// one serial leaf up to the scan cutoff, blocks in parallel above it) and
+// attached to the root in O(1);
 // extract-mins then pop sequentially (O(lg n) amortized each).
 //
 // Batch semantics: all INSERTs apply first, then the k EXTRACTMINs return the

@@ -319,12 +319,12 @@ TEST(BatchedSkipList, EraseEverythingThenReinsert) {
 }
 
 // ---------------------------------------------------------------------------
-// Interleaved search groups.  The BOP searches a phase's sorted keys in
-// groups of 16 (kGroup) consecutive keys, and reads in groups of 16
-// records.  These batches sit around the group edges (1, 7, 8, 9, 15, 16,
-// 17, 31, 32, 33 and 150 records; 8 was the group size before 16), run
-// through run_batch at P = 1..4, and are checked against a
-// std::set model of the documented phase order: reads see the pre-batch
+// Interleaved search groups.  The BOP searches a batch's distinct sorted
+// keys, reads, erases and inserts together, in groups of 16 (kGroup)
+// consecutive keys.  These batches sit around the group edges (1, 7, 8, 9,
+// 15, 16, 17, 31, 32, 33 and 150 records; 8 was the group size before 16),
+// run through run_batch at P = 1..4, and are checked against a std::set
+// model of the documented phase order: reads see the pre-batch
 // set, then erases, then inserts, the first record winning on a duplicate
 // key (a single Insert before any MultiInsert payload).
 // ---------------------------------------------------------------------------
@@ -556,8 +556,8 @@ TEST_P(SkipListGroupParam, BatchRaisingTheHeightSearchesFromTheNewTop) {
 }
 
 // Read-only batches of 15, 16, 17 and 33 Contains/Successor/RangeCount
-// records: apply_reads searches them in groups of 16 records, so the last
-// group holds 15, 16, 1 or 1 of them.  The list is pre-populated, so the
+// records: their distinct keys are searched in groups of 16, so the last
+// group holds up to 15, 16, 1 or 1 of them.  The list is pre-populated, so the
 // descents take real right moves at several levels.
 TEST_P(SkipListGroupParam, ReadBatchesAroundGroupEdgesMatchSetModel) {
   constexpr std::size_t kReadSizes[] = {15, 16, 17, 33};
@@ -742,6 +742,123 @@ TEST_P(SkipListGroupParam, BatchesAroundLeafGrainAndSortCutoffMatchSetModel) {
       for (const Key k : model) ASSERT_TRUE(list.contains_unsafe(k)) << k;
       for (const Key k : victims) ASSERT_FALSE(list.contains_unsafe(k)) << k;
     }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Cross-phase batches.  One search serves every record of a batch, so an
+// insert's predecessor and successor rows name the pre-batch list.  When an
+// erase of the same batch unlinks one of those nodes below the new node's
+// height, the insert must search again after the unlink.  Each test below
+// puts a victim at one place an insert's rows can name it, over a grid of
+// keys whose random heights make the victim the neighbour at level 0 and,
+// for the taller victims and new nodes, at higher levels too.  The batches
+// hold one such pattern each (so a singleton-sized batch is checked) and
+// then every pattern of a pass at once.
+// ---------------------------------------------------------------------------
+
+constexpr std::size_t kGridKeys = 600;  // keys 0, 10, ..., 5990
+
+void fill_grid(BatchedSkipList& list, std::set<Key>& model) {
+  for (std::size_t i = 0; i < kGridKeys; ++i) {
+    const auto k = static_cast<Key>(i) * 10;
+    ASSERT_TRUE(list.insert_unsafe(k));
+    model.insert(k);
+  }
+}
+
+// Runs `make(k)` for grid keys k = 20, 60, 100, ... (every fourth key, so
+// the patterns of one pass never touch each other), first one batch per key
+// and then, on a fresh grid, all of them in one batch.  Both passes are
+// checked against the model after every batch.
+template <typename Make>
+void run_grid_patterns(unsigned workers, std::uint64_t seed, const Make& make) {
+  rt::Scheduler sched(workers);
+  {
+    BatchedSkipList list(sched, seed);
+    std::set<Key> model;
+    ASSERT_NO_FATAL_FAILURE(fill_grid(list, model));
+    for (Key k = 20; k < static_cast<Key>(kGridKeys) * 10 - 40; k += 40) {
+      SCOPED_TRACE(testing::Message() << "key " << k);
+      ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, make(k)));
+    }
+  }
+  BatchedSkipList list(sched, seed);
+  std::set<Key> model;
+  ASSERT_NO_FATAL_FAILURE(fill_grid(list, model));
+  std::vector<Rec> all;
+  for (Key k = 20; k < static_cast<Key>(kGridKeys) * 10 - 40; k += 40) {
+    for (Rec& r : make(k)) all.push_back(std::move(r));
+  }
+  ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, all));
+}
+
+Rec erase_rec(Key k) { return Rec{Kind::Erase, k, 0, {}}; }
+Rec insert_rec(Key k) { return Rec{Kind::Insert, k, 0, {}}; }
+
+// Erase k and insert k: both succeed and k stays.  The insert's level-0
+// successor is the victim itself.  A read of k sees it, and an erase and an
+// insert of an absent neighbour report a miss and a new key.
+TEST_P(SkipListGroupParam, EraseAndInsertOfOneKeyInOneBatch) {
+  ASSERT_NO_FATAL_FAILURE(run_grid_patterns(GetParam(), 41, [](Key k) {
+    return std::vector<Rec>{insert_rec(k), erase_rec(k),
+                            Rec{Kind::Contains, k, 0, {}}, erase_rec(k + 5),
+                            insert_rec(k + 5)};
+  }));
+}
+
+// Erase k and insert k + 5: k is the new node's predecessor at level 0, and
+// at every level below both heights.
+TEST_P(SkipListGroupParam, InsertWhosePredecessorIsAVictim) {
+  ASSERT_NO_FATAL_FAILURE(run_grid_patterns(GetParam(), 42, [](Key k) {
+    return std::vector<Rec>{erase_rec(k), insert_rec(k + 5)};
+  }));
+}
+
+// Erase k and insert k - 5: k is the new node's successor at level 0, and
+// at every level below both heights.
+TEST_P(SkipListGroupParam, InsertWhoseSuccessorIsAVictim) {
+  ASSERT_NO_FATAL_FAILURE(run_grid_patterns(GetParam(), 43, [](Key k) {
+    return std::vector<Rec>{insert_rec(k - 5), erase_rec(k)};
+  }));
+}
+
+// Erase k and k + 10, which are chain-adjacent at level 0 (one unlink run),
+// and insert k + 5 between them: its predecessor and its successor are both
+// victims.  As a MultiInsert payload too.
+TEST_P(SkipListGroupParam, InsertBetweenChainAdjacentVictims) {
+  ASSERT_NO_FATAL_FAILURE(run_grid_patterns(GetParam(), 44, [](Key k) {
+    return std::vector<Rec>{erase_rec(k), erase_rec(k + 10), insert_rec(k + 5),
+                            Rec{Kind::MultiInsert, 0, 0, {k + 4, k + 6}}};
+  }));
+}
+
+// A list whose only node is taller than 4 levels: erasing it empties every
+// level, so the unlink lowers the height to 1, and the same batch inserts
+// keys on both sides of it (its level-l predecessors and successors at
+// every level), enough of them to raise the height again.
+TEST_P(SkipListGroupParam, TallVictimLowersTheHeightAsAnInsertRaisesIt) {
+  rt::Scheduler sched(GetParam());
+  int lists = 0;
+  for (std::uint64_t seed = 1; lists < 6; ++seed) {
+    BatchedSkipList list(sched, seed);
+    std::set<Key> model;
+    ASSERT_TRUE(list.insert_unsafe(5000));
+    model.insert(5000);
+    if (list.height_unsafe() <= 4) continue;
+    ++lists;
+    SCOPED_TRACE(testing::Message() << "seed " << seed << " height "
+                                    << list.height_unsafe());
+    std::vector<Rec> recs{erase_rec(5000), insert_rec(4995), insert_rec(5005)};
+    for (Key k = 0; k < 200; ++k) recs.push_back(insert_rec(k * 50 + 1));
+    ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, recs));
+    ASSERT_GT(list.height_unsafe(), 1);
+    // And back: erase everything the batch added while re-inserting the
+    // old key.
+    std::vector<Rec> back{insert_rec(5000)};
+    for (const Key k : model) back.push_back(erase_rec(k));
+    ASSERT_NO_FATAL_FAILURE(run_and_check(sched, list, model, back));
+    ASSERT_EQ(model, std::set<Key>{5000});
   }
 }
 

@@ -206,8 +206,24 @@ void run_skip_batch(BatchedSkipList& list, const std::vector<SkipSpec>& specs,
   }
 }
 
+// Phases (reads, erase, insert) that a batch holds records of: the BOP runs
+// one search for all of them, so the sweep must mix them.
+int skip_batch_phases(const std::vector<SkipSpec>& specs) {
+  bool read = false, erase = false, insert = false;
+  for (const SkipSpec& s : specs) {
+    switch (s.kind) {
+      case BatchedSkipList::Kind::Erase: erase = true; break;
+      case BatchedSkipList::Kind::Insert:
+      case BatchedSkipList::Kind::MultiInsert: insert = true; break;
+      default: read = true; break;
+    }
+  }
+  return int{read} + int{erase} + int{insert};
+}
+
 TEST(BopSameKey, SkipListMixedTapeMatchesModelUnderBothPolicies) {
   rt::Scheduler sched(2);
+  std::uint64_t batches_by_phases[4] = {};
   for (std::uint64_t seed = 0; seed < kSweepSeeds; ++seed) {
     Xoshiro256 rng(seed * 2 + 1);
     BatchedSkipList list(sched, seed + 1);
@@ -216,6 +232,7 @@ TEST(BopSameKey, SkipListMixedTapeMatchesModelUnderBothPolicies) {
       for (int round = 0; round < kRoundsPerSeed; ++round) {
         const std::size_t n = 1 + rng.next_below(32);
         const auto specs = random_skip_batch(rng, n);
+        ++batches_by_phases[skip_batch_phases(specs)];
         const auto exp = model_skip_batch(model, specs);
         ASSERT_NO_FATAL_FAILURE(run_skip_batch(list, specs, exp, seed, round));
       }
@@ -226,6 +243,10 @@ TEST(BopSameKey, SkipListMixedTapeMatchesModelUnderBothPolicies) {
       ASSERT_EQ(list.contains_unsafe(k * 10), model.count(k * 10) > 0)
           << "seed " << seed << " key " << k * 10;
     }
+  }
+  for (int phases = 1; phases <= 3; ++phases) {
+    EXPECT_GT(batches_by_phases[phases], 0u)
+        << "no batch with " << phases << " phase(s)";
   }
 }
 

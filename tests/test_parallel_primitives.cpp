@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "parallel/prefix_sum.hpp"
-#include "parallel/reduce.hpp"
 #include "parallel/scan.hpp"
 #include "parallel/sort.hpp"
 #include "runtime/api.hpp"
@@ -116,9 +115,10 @@ TEST(Reduce, SumMatchesSerial) {
       std::accumulate(data.begin(), data.end(), std::int64_t{0});
   std::int64_t got = 0;
   sched.run([&] {
-    got = par::parallel_sum<std::int64_t>(
-        0, static_cast<std::int64_t>(data.size()),
-        [&](std::int64_t i) { return data[static_cast<std::size_t>(i)]; });
+    got = par::reduce<std::int64_t>(
+        static_cast<std::int64_t>(data.size()),
+        [&](std::int64_t i) { return data[static_cast<std::size_t>(i)]; },
+        [](std::int64_t a, std::int64_t b) { return a + b; }, std::int64_t{0});
   });
   EXPECT_EQ(got, expected);
 }
@@ -129,18 +129,20 @@ TEST(Reduce, MaxWithIdentity) {
   const std::int64_t expected = *std::max_element(data.begin(), data.end());
   std::int64_t got = 0;
   sched.run([&] {
-    got = par::parallel_reduce<std::int64_t>(
-        0, static_cast<std::int64_t>(data.size()),
-        std::numeric_limits<std::int64_t>::min(),
+    got = par::reduce<std::int64_t>(
+        static_cast<std::int64_t>(data.size()),
         [&](std::int64_t i) { return data[static_cast<std::size_t>(i)]; },
-        [](std::int64_t a, std::int64_t b) { return std::max(a, b); });
+        [](std::int64_t a, std::int64_t b) { return std::max(a, b); },
+        std::numeric_limits<std::int64_t>::min());
   });
   EXPECT_EQ(got, expected);
 }
 
 TEST(Reduce, EmptyRangeYieldsIdentity) {
-  EXPECT_EQ(par::parallel_sum<std::int64_t>(5, 5,
-                                            [](std::int64_t) { return 1; }),
+  EXPECT_EQ(par::reduce<std::int64_t>(
+                0, [](std::int64_t) { return 1; },
+                [](std::int64_t a, std::int64_t b) { return a + b; },
+                std::int64_t{0}),
             0);
 }
 
