@@ -59,7 +59,7 @@ class AuditSession final : public rt::hooks::ScheduleObserver {
     perturber_.reseed(seed);
   }
 
-  void on_event(const rt::hooks::HookEvent& event) override {
+  void on_event(const rt::hooks::Event& event) override {
     auditor_.on_event(event);
     watchdog_.on_event(event);
     perturber_.on_event(event);

@@ -96,7 +96,7 @@ void FaultSchedule::fire_action(const FaultAction& action) {
   fired_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void FaultSchedule::on_event(const rt::hooks::HookEvent&) {
+void FaultSchedule::on_event(const rt::hooks::Event&) {
   const std::uint64_t now = events_.fetch_add(1, std::memory_order_relaxed) + 1;
   // Common case: schedule exhausted or next action still ahead — one load.
   std::size_t cur = cursor_.load(std::memory_order_acquire);

@@ -82,7 +82,7 @@ class FaultSchedule final : public rt::hooks::ScheduleObserver {
   explicit FaultSchedule(std::uint64_t seed);
   FaultSchedule(std::uint64_t seed, Options options);
 
-  void on_event(const rt::hooks::HookEvent& event) override;
+  void on_event(const rt::hooks::Event& event) override;
 
   // Regenerate the schedule from a new seed and clear all firing state.
   // Call only while no scheduler can emit.

@@ -23,36 +23,6 @@ const char* kind_name(TaskKind k) {
   return k == TaskKind::Core ? "core" : "batch";
 }
 
-const char* point_name(hooks::HookPoint p) {
-  using P = hooks::HookPoint;
-  switch (p) {
-    case P::kWorkerLoop: return "worker-loop";
-    case P::kPush: return "push";
-    case P::kPop: return "pop";
-    case P::kStealAttempt: return "steal-attempt";
-    case P::kAlternatingSteal: return "alternating-steal";
-    case P::kTaskRun: return "task-run";
-    case P::kBatchifyEnter: return "batchify-enter";
-    case P::kBatchifyExit: return "batchify-exit";
-    case P::kFlagCasWon: return "flag-cas-won";
-    case P::kLaunchEnter: return "launch-enter";
-    case P::kBatchCollected: return "batch-collected";
-    case P::kLaunchExit: return "launch-exit";
-    case P::kStatusFreeToPending: return "status free->pending";
-    case P::kStatusPendingToExecuting: return "status pending->executing";
-    case P::kStatusExecutingToDone: return "status executing->done";
-    case P::kStatusDoneToFree: return "status done->free";
-    case P::kAnnouncePush: return "announce-push";
-    case P::kAnnounceClaim: return "announce-claim";
-    case P::kLaunchChained: return "launch-chained";
-    case P::kExternalSubmit: return "external-submit";
-    case P::kExternalRevoke: return "external-revoke";
-    case P::kExternalClaim: return "external-claim";
-    case P::kPumpPark: return "pump-park";
-  }
-  return "?";
-}
-
 }  // namespace
 
 InvariantAuditor::InvariantAuditor(unsigned num_workers)
@@ -81,19 +51,19 @@ InvariantAuditor::WorkerState& InvariantAuditor::worker_state(unsigned worker) {
   return workers_[worker];
 }
 
-void InvariantAuditor::violate(const rt::hooks::HookEvent& event,
+void InvariantAuditor::violate(const rt::hooks::Event& event,
                                std::string invariant, std::string detail) {
   ++violation_count_;
   if (violations_.size() < kMaxRecorded) {
     std::ostringstream os;
-    os << detail << " [at " << point_name(event.point) << ", context "
+    os << detail << " [at " << trace::event_info(event.id).name << ", context "
        << kind_name(event.context) << "]";
     violations_.push_back(
         Violation{std::move(invariant), event.worker, os.str()});
   }
 }
 
-void InvariantAuditor::check_status_edge(const rt::hooks::HookEvent& event,
+void InvariantAuditor::check_status_edge(const rt::hooks::Event& event,
                                          Status from, Status to) {
   DomainState& dom = domain_state(event.domain);
   worker_state(event.worker);  // ensure dom.status covers event.worker
@@ -119,15 +89,12 @@ void InvariantAuditor::check_status_edge(const rt::hooks::HookEvent& event,
   }
 }
 
-void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
-  using P = hooks::HookPoint;
+void InvariantAuditor::on_event(const rt::hooks::Event& event) {
+  using P = hooks::EventId;
   std::lock_guard<std::mutex> lock(mu_);
   ++events_;
 
-  switch (event.point) {
-    case P::kWorkerLoop:
-      break;
-
+  switch (event.id) {
     case P::kPush:
       // Spawns inherit the spawner's dag: a task's kind must match the dag
       // context it was pushed from (Invariant 3).
@@ -140,7 +107,7 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
       break;
 
     case P::kPop:
-    case P::kStealAttempt: {
+    case P::kSteal: {
       WorkerState& ws = worker_state(event.worker);
       if (event.deque == TaskKind::Core) {
         if (ws.trapped) {
@@ -176,7 +143,7 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
       break;
     }
 
-    case P::kTaskRun: {
+    case P::kTaskBegin: {
       WorkerState& ws = worker_state(event.worker);
       if (ws.trapped && event.deque == TaskKind::Core) {
         std::ostringstream os;
@@ -187,7 +154,7 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
       break;
     }
 
-    case P::kBatchifyEnter: {
+    case P::kOpSubmit: {
       WorkerState& ws = worker_state(event.worker);
       if (ws.trapped) {
         std::ostringstream os;
@@ -201,7 +168,7 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
       break;
     }
 
-    case P::kBatchifyExit: {
+    case P::kOpResume: {
       WorkerState& ws = worker_state(event.worker);
       if (!ws.trapped) {
         std::ostringstream os;
@@ -214,7 +181,7 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
       break;
     }
 
-    case P::kFlagCasWon: {
+    case P::kFlagWon: {
       DomainState& dom = domain_state(event.domain);
       if (dom.flag_holder != hooks::kNoWorker) {
         std::ostringstream os;
@@ -251,7 +218,7 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
       break;
     }
 
-    case P::kBatchCollected: {
+    case P::kCollected: {
       domain_state(event.domain);
       if (event.value > num_workers_) {
         std::ostringstream os;
@@ -272,7 +239,7 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
       }
       dom.active_launches = dom.active_launches > 0 ? dom.active_launches - 1 : 0;
       // Remember who exited: a kLaunchChained event may re-establish this
-      // worker as holder without an intervening kFlagCasWon (the real flag
+      // worker as holder without an intervening kFlagWon (the real flag
       // never reopened between the two launches).
       dom.last_launcher = event.worker;
       dom.flag_holder = hooks::kNoWorker;
@@ -364,12 +331,10 @@ void InvariantAuditor::on_event(const rt::hooks::HookEvent& event) {
     // thread, so `event.worker` is kNoWorker for submit/revoke and a pump
     // worker for claim — neither maps onto the per-worker trapped-op model
     // above (the external slot array is indexed by tid, not worker id).
-    // These points exist for the perturber and FaultSchedule to widen the
-    // revoke race window; the auditor only counts them.
-    case P::kExternalSubmit:
-    case P::kExternalRevoke:
-    case P::kExternalClaim:
-    case P::kPumpPark:
+    // These points, and the pump park, exist for the perturber and
+    // FaultSchedule to widen race windows; the auditor only counts them.
+    // Ring-only entries never reach an observer.
+    default:
       break;
   }
 }

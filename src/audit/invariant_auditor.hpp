@@ -50,7 +50,7 @@ class InvariantAuditor final : public rt::hooks::ScheduleObserver {
  public:
   explicit InvariantAuditor(unsigned num_workers);
 
-  void on_event(const rt::hooks::HookEvent& event) override;
+  void on_event(const rt::hooks::Event& event) override;
 
   // Forgets all model state and recorded violations (e.g. between seeds of a
   // schedule sweep).  Call only while no scheduler can emit.
@@ -95,9 +95,9 @@ class InvariantAuditor final : public rt::hooks::ScheduleObserver {
 
   DomainState& domain_state(const void* domain);
   WorkerState& worker_state(unsigned worker);
-  void check_status_edge(const rt::hooks::HookEvent& event, Status from,
+  void check_status_edge(const rt::hooks::Event& event, Status from,
                          Status to);
-  void violate(const rt::hooks::HookEvent& event, std::string invariant,
+  void violate(const rt::hooks::Event& event, std::string invariant,
                std::string detail);
 
   const unsigned num_workers_;

@@ -71,7 +71,7 @@ void SchedulePerturber::perturb(Lane& lane) {
   }
 }
 
-void SchedulePerturber::on_event(const rt::hooks::HookEvent& /*event*/) {
+void SchedulePerturber::on_event(const rt::hooks::Event& /*event*/) {
   const unsigned lane = lane_for_caller();
   if (lane + 1 == lanes_.size()) {
     // Non-worker threads share the last lane; serialize them.

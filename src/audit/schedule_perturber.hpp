@@ -40,7 +40,7 @@ class SchedulePerturber final : public rt::hooks::ScheduleObserver {
   SchedulePerturber(unsigned num_workers, std::uint64_t seed, Options options);
   SchedulePerturber(unsigned num_workers, std::uint64_t seed);  // default opts
 
-  void on_event(const rt::hooks::HookEvent& event) override;
+  void on_event(const rt::hooks::Event& event) override;
 
   // Restart the decision streams from a new seed.  Call only while no
   // scheduler can emit.

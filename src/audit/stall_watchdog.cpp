@@ -95,15 +95,15 @@ void StallWatchdog::scan(std::uint64_t now_events,
   }
 }
 
-void StallWatchdog::on_event(const rt::hooks::HookEvent& event) {
-  using P = hooks::HookPoint;
+void StallWatchdog::on_event(const rt::hooks::Event& event) {
+  using P = hooks::EventId;
   const std::uint64_t now =
       events_.fetch_add(1, std::memory_order_relaxed) + 1;
 
   const bool tracks_state =
-      event.point == P::kFlagCasWon || event.point == P::kLaunchExit ||
-      event.point == P::kLaunchChained || event.point == P::kBatchifyEnter ||
-      event.point == P::kBatchifyExit;
+      event.id == P::kFlagWon || event.id == P::kLaunchExit ||
+      event.id == P::kLaunchChained || event.id == P::kOpSubmit ||
+      event.id == P::kOpResume;
   if (!tracks_state && now % kScanPeriod != 0) return;
 
   std::vector<StallReport> pending;
@@ -111,8 +111,8 @@ void StallWatchdog::on_event(const rt::hooks::HookEvent& event) {
   std::lock_guard<std::mutex> lock(mu_);
   const Clock::time_point now_clock =
       options_.wall_budget_ms != 0 ? Clock::now() : Clock::time_point{};
-  switch (event.point) {
-    case P::kFlagCasWon: {
+  switch (event.id) {
+    case P::kFlagWon: {
       DomainWatch& dw = domains_[event.domain];
       dw.holder = event.worker;
       dw.acquired_at_event = now;
@@ -137,7 +137,7 @@ void StallWatchdog::on_event(const rt::hooks::HookEvent& event) {
       dw.flagged = false;
       break;
     }
-    case P::kBatchifyEnter: {
+    case P::kOpSubmit: {
       if (event.worker >= traps_.size()) traps_.resize(event.worker + 1);
       TrapWatch& tw = traps_[event.worker];
       tw.trapped = true;
@@ -147,7 +147,7 @@ void StallWatchdog::on_event(const rt::hooks::HookEvent& event) {
       tw.flagged = false;
       break;
     }
-    case P::kBatchifyExit: {
+    case P::kOpResume: {
       if (event.worker < traps_.size()) {
         traps_[event.worker].trapped = false;
         traps_[event.worker].flagged = false;

@@ -61,7 +61,7 @@ class StallWatchdog final : public rt::hooks::ScheduleObserver {
   StallWatchdog(unsigned num_workers, Options options,
                 const InvariantAuditor* model = nullptr);
 
-  void on_event(const rt::hooks::HookEvent& event) override;
+  void on_event(const rt::hooks::Event& event) override;
 
   // Evaluates the wall-clock budgets immediately (from any thread) — the
   // escape hatch for fully silent deadlocks where no events flow.  Wire it

@@ -10,6 +10,7 @@
 namespace batcher {
 
 namespace hooks = rt::hooks;
+using hooks::EventId;
 
 namespace {
 
@@ -59,11 +60,8 @@ void Batcher::batchify(OpRecordBase& op) {
   BATCHER_DASSERT(slot.status.load(std::memory_order_relaxed) == OpStatus::Free,
                   "a worker has at most one suspended data-structure node");
   op.clear_error();  // records may be reused across operations
-  hooks::emit({hooks::HookPoint::kBatchifyEnter, w->id(), rt::TaskKind::Core,
-               w->current_kind(), this});
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(w->id(), trace::EventId::kOpSubmit, trace_id_);
-  }
+  hooks::emit({EventId::kOpSubmit, w->id(), rt::TaskKind::Core,
+               w->current_kind(), this, 0, trace_id_});
   slot.op = &op;
   // Bound ledger: publish this op's path-so-far with the slot (the launcher
   // folds the batch's max into its launch strand after collect), then pause —
@@ -82,20 +80,17 @@ void Batcher::batchify(OpRecordBase& op) {
   }
   // Emitted before the release store: a launcher can only observe (and report
   // on) this slot after the store, so the observer sees free->pending first.
-  hooks::emit({hooks::HookPoint::kStatusFreeToPending, w->id(),
+  hooks::emit({EventId::kStatusFreeToPending, w->id(),
                rt::TaskKind::Core, w->current_kind(), this});
   // A launcher learns of this store (and the op) through the announce push
   // below.
   slot.status.store(OpStatus::Pending, std::memory_order_release);
 
   // Announce the slot (DESIGN.md §11) on the list the launcher claims
-  // wholesale.  Emitted-before-push mirrors the status hooks: an observer
+  // wholesale.  Emitted-before-push mirrors the status events: an observer
   // sees the announce before any launcher can act on it.
-  hooks::emit({hooks::HookPoint::kAnnouncePush, w->id(), rt::TaskKind::Core,
-               w->current_kind(), this});
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(w->id(), trace::EventId::kAnnouncePush, trace_id_);
-  }
+  hooks::emit({EventId::kAnnouncePush, w->id(), rt::TaskKind::Core,
+               w->current_kind(), this, 0, trace_id_});
   stat_cells_.announce_pushes.fetch_add(1, std::memory_order_relaxed);
   announced_.push(slot);
 
@@ -121,20 +116,10 @@ void Batcher::batchify(OpRecordBase& op) {
       if (batch_flag_.compare_exchange_strong(expected, 1,
                                               std::memory_order_acq_rel,
                                               std::memory_order_acquire)) {
-#if BATCHER_AUDIT
-        if (!hooks::test_faults().skip_batch_flag_cas.load(
-                std::memory_order_relaxed))
-#endif
-        {
-          hooks::emit({hooks::HookPoint::kFlagCasWon, w->id(),
-                       rt::TaskKind::Core, w->current_kind(), this});
-        }
-        // Unlike the audit hook above, the trace record is not suppressed by
-        // the skip_batch_flag_cas fault: the trace reports what the schedule
-        // actually did, not what the auditor is being shown.
-        if (trace::enabled()) [[unlikely]] {
-          trace::emit(w->id(), trace::EventId::kFlagWon, trace_id_);
-        }
+        // The skip_batch_flag_cas fault hides this event from the observer
+        // only (hooks::deliver).
+        hooks::emit({EventId::kFlagWon, w->id(), rt::TaskKind::Core,
+                     w->current_kind(), this, 0, trace_id_});
         w->run_inline(rt::TaskKind::Batch, [this] { launch_batch(); });
         backoff.reset();
         continue;
@@ -142,9 +127,8 @@ void Batcher::batchify(OpRecordBase& op) {
       // Lost the race: another trapped worker (or a chained launch) owns the
       // batch; count it, note it in the trace, and back off.
       stat_cells_.flag_cas_failures.fetch_add(1, std::memory_order_relaxed);
-      if (trace::enabled()) [[unlikely]] {
-        trace::emit(w->id(), trace::EventId::kFlagCasFail, trace_id_);
-      }
+      hooks::emit({EventId::kFlagCasFail, w->id(), rt::TaskKind::Core,
+                   w->current_kind(), this, 0, trace_id_});
       backoff.pause();
       continue;
     }
@@ -165,26 +149,20 @@ void Batcher::batchify(OpRecordBase& op) {
         {slot.done_path_ns, slot.done_path_tasks});
   }
   // done -> free: only the owning worker makes this transition (§4).
-  hooks::emit({hooks::HookPoint::kStatusDoneToFree, w->id(),
+  hooks::emit({EventId::kStatusDoneToFree, w->id(),
                rt::TaskKind::Core, w->current_kind(), this});
   slot.op = nullptr;
   slot.status.store(OpStatus::Free, std::memory_order_relaxed);
-  hooks::emit({hooks::HookPoint::kBatchifyExit, w->id(), rt::TaskKind::Core,
-               w->current_kind(), this});
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(w->id(), trace::EventId::kOpResume, trace_id_);
-  }
+  hooks::emit({EventId::kOpResume, w->id(), rt::TaskKind::Core,
+               w->current_kind(), this, 0, trace_id_});
   // The slot is released either way; a failed op surfaces at its caller.
   op.rethrow_if_failed();
 }
 
 Batcher::BatchGuard::BatchGuard(Batcher& batcher, unsigned launcher)
     : b_(batcher), launcher_(launcher) {
-  hooks::emit({hooks::HookPoint::kLaunchEnter, launcher_, rt::TaskKind::Batch,
-               rt::TaskKind::Batch, &b_});
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(launcher_, trace::EventId::kLaunchEnter, b_.trace_id_);
-  }
+  hooks::emit({EventId::kLaunchEnter, launcher_, rt::TaskKind::Batch,
+               rt::TaskKind::Batch, &b_, 0, b_.trace_id_});
   const std::int32_t already =
       b_.batches_running_.fetch_add(1, std::memory_order_acq_rel);
   BATCHER_ASSERT(already == 0, "Invariant 1 violated: overlapping batches");
@@ -225,21 +203,16 @@ Batcher::BatchGuard::~BatchGuard() {
   if (done < st.histogram.size()) bump(st.histogram[done]);
 
   b_.batches_running_.fetch_sub(1, std::memory_order_acq_rel);
-  // Emitted before the flag reopens: the next launcher's kFlagCasWon cannot
+  // Emitted before the flag reopens: the next launcher's kFlagWon cannot
   // precede this event, so the observer's flag-holder model stays exact.
-  hooks::emit({hooks::HookPoint::kLaunchExit, launcher_, rt::TaskKind::Batch,
-               rt::TaskKind::Batch, &b_, done});
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(launcher_, trace::EventId::kLaunchExit, b_.trace_id_,
-                static_cast<std::uint32_t>(done));
-  }
+  hooks::emit({EventId::kLaunchExit, launcher_, rt::TaskKind::Batch,
+               rt::TaskKind::Batch, &b_, done, b_.trace_id_});
   if (keep_flag_) return;  // a chained launch runs under the same hold
   // Reopen the domain.  kFlagReopen closes the flag-held trace window that
   // kFlagWon opened (kLaunchExit no longer implies a reopen); the release
   // store pairs with the next launcher's CAS acquire.
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(launcher_, trace::EventId::kFlagReopen, b_.trace_id_);
-  }
+  hooks::emit({EventId::kFlagReopen, launcher_, rt::TaskKind::Batch,
+               rt::TaskKind::Batch, &b_, 0, b_.trace_id_});
   b_.batch_flag_.store(0, std::memory_order_release);
 }
 
@@ -266,12 +239,8 @@ void Batcher::launch_batch() {
       try {
         const std::size_t count = collect();
         guard.collected(count);
-        hooks::emit({hooks::HookPoint::kBatchCollected, launcher,
-                     rt::TaskKind::Batch, rt::TaskKind::Batch, this, count});
-        if (trace::enabled()) [[unlikely]] {
-          trace::emit(launcher, trace::EventId::kCollected, trace_id_,
-                      static_cast<std::uint32_t>(count));
-        }
+        hooks::emit({EventId::kCollected, launcher, rt::TaskKind::Batch,
+                     rt::TaskKind::Batch, this, count, trace_id_});
         BATCHER_ASSERT(count <= sched_.num_workers(),
                        "Invariant 2 violated: batch larger than P");
         if (led && count > 0) [[unlikely]] {
@@ -322,10 +291,8 @@ void Batcher::launch_batch() {
                 bop_wall1 >= bop_wall0 ? bop_wall1 - bop_wall0 : 0,
                 bop_path1.ns - bop_path0.ns);
           }
-          if (trace::enabled()) [[unlikely]] {
-            trace::emit(launcher, trace::EventId::kBopDone, trace_id_,
-                        static_cast<std::uint32_t>(count));
-          }
+          hooks::emit({EventId::kBopDone, launcher, rt::TaskKind::Batch,
+                       rt::TaskKind::Batch, this, count, trace_id_});
           complete(/*error=*/nullptr);
         }
         guard.completed_cleanly();
@@ -351,19 +318,15 @@ void Batcher::launch_batch() {
     // it before the next kLaunchEnter so the auditor's Invariant 1 model
     // stays exact (the real flag never reopened).
     stat_cells_.chained_launches.fetch_add(1, std::memory_order_relaxed);
-    hooks::emit({hooks::HookPoint::kLaunchChained, launcher,
-                 rt::TaskKind::Batch, rt::TaskKind::Batch, this, chain});
-    if (trace::enabled()) [[unlikely]] {
-      trace::emit(launcher, trace::EventId::kLaunchChained, trace_id_,
-                  static_cast<std::uint32_t>(chain));
-    }
+    hooks::emit({EventId::kLaunchChained, launcher, rt::TaskKind::Batch,
+                 rt::TaskKind::Batch, this, chain, trace_id_});
   }
 }
 
 std::size_t Batcher::collect() {
   BATCHER_DASSERT(claimed_count_ == 0 && claimed_rest_ == nullptr,
                   "the previous launch's claim was fully consumed");
-  hooks::emit({hooks::HookPoint::kAnnounceClaim,
+  hooks::emit({EventId::kAnnounceClaim,
                rt::Worker::current()->id(), rt::TaskKind::Batch,
                rt::TaskKind::Batch, this});
   // One claim takes every announced slot; the walk's relaxed loads see each
@@ -381,7 +344,7 @@ std::size_t Batcher::collect() {
     working_[count] = s->op;
     claimed_[count] = s;
     claimed_count_ = ++count;
-    hooks::emit({hooks::HookPoint::kStatusPendingToExecuting, s->owner,
+    hooks::emit({EventId::kStatusPendingToExecuting, s->owner,
                  rt::TaskKind::Batch, rt::TaskKind::Batch, this});
     s->status.store(OpStatus::Executing, std::memory_order_relaxed);
     s = s->announce_next;
@@ -403,7 +366,7 @@ std::size_t Batcher::complete(const std::exception_ptr& error) {
       s->done_path_ns = path.ns;
       s->done_path_tasks = path.tasks;
     }
-    hooks::emit({hooks::HookPoint::kStatusExecutingToDone, s->owner,
+    hooks::emit({EventId::kStatusExecutingToDone, s->owner,
                  rt::TaskKind::Batch, rt::TaskKind::Batch, this});
     // Release publishes BOP results (and any recorded error) to the
     // trapped owner's acquire load in batchify.
@@ -434,10 +397,10 @@ std::size_t Batcher::fail_claimed(const std::exception_ptr& error) {
       s->done_path_ns = path.ns;
       s->done_path_tasks = path.tasks;
     }
-    hooks::emit({hooks::HookPoint::kStatusPendingToExecuting, s->owner,
+    hooks::emit({EventId::kStatusPendingToExecuting, s->owner,
                  rt::TaskKind::Batch, rt::TaskKind::Batch, this});
     s->status.store(OpStatus::Executing, std::memory_order_relaxed);
-    hooks::emit({hooks::HookPoint::kStatusExecutingToDone, s->owner,
+    hooks::emit({EventId::kStatusExecutingToDone, s->owner,
                  rt::TaskKind::Batch, rt::TaskKind::Batch, this});
     s->status.store(OpStatus::Done, std::memory_order_release);
     ++flipped;

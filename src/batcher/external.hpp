@@ -289,7 +289,7 @@ class ExternalDomain {
         // Read the link before the CAS: an unlinked slot is its owner's to
         // push again at once.
         Slot* next = s->announce_next;
-        rt::hooks::emit({rt::hooks::HookPoint::kExternalClaim, w->id(),
+        rt::hooks::emit({rt::hooks::EventId::kExternalClaim, w->id(),
                          rt::TaskKind::Batch, rt::TaskKind::Batch, this,
                          static_cast<std::uint64_t>(s - slots_.data())});
         if (claim_or_unlink(*s)) {
@@ -483,15 +483,15 @@ class ExternalDomain {
     if (shed_threshold_ != 0 && prev >= shed_threshold_) {
       pending_depth_.fetch_sub(1, std::memory_order_relaxed);
       ops_shed_.fetch_add(1, std::memory_order_relaxed);
-      if (trace::enabled()) [[unlikely]] {
-        trace::emit(trace::kNoWorkerId, trace::EventId::kOpShed, trace_id_);
-      }
+      rt::hooks::emit({rt::hooks::EventId::kOpShed, rt::hooks::kNoWorker,
+                       rt::TaskKind::Batch, rt::TaskKind::Batch, this, 0,
+                       trace_id_});
       throw DomainOverloaded();
     }
     Slot& slot = slots_[tid];
     op.clear_error();
     slot.op = &op;
-    rt::hooks::emit({rt::hooks::HookPoint::kExternalSubmit, rt::hooks::kNoWorker,
+    rt::hooks::emit({rt::hooks::EventId::kExternalSubmit, rt::hooks::kNoWorker,
                      rt::TaskKind::Batch, rt::TaskKind::Batch, this, tid});
     publish(slot);
     if (gate_ != nullptr) gate_->after_publish();
@@ -514,10 +514,9 @@ class ExternalDomain {
       if (has_deadline && Clock::now() >= deadline) {
         if (try_revoke(slot, tid)) {
           resolve(ops_timed_out_);
-          if (trace::enabled()) [[unlikely]] {
-            trace::emit(trace::kNoWorkerId, trace::EventId::kOpTimeout,
-                        trace_id_);
-          }
+          rt::hooks::emit({rt::hooks::EventId::kOpTimeout,
+                           rt::hooks::kNoWorker, rt::TaskKind::Batch,
+                           rt::TaskKind::Batch, this, 0, trace_id_});
           throw OpTimedOut();
         }
         has_deadline = false;
@@ -555,7 +554,7 @@ class ExternalDomain {
   // Owner-side Pending -> Revoked; true when this thread won the record
   // back.  The slot stays linked until the pump unlinks it.
   bool try_revoke(Slot& slot, std::size_t tid) {
-    rt::hooks::emit({rt::hooks::HookPoint::kExternalRevoke, rt::hooks::kNoWorker,
+    rt::hooks::emit({rt::hooks::EventId::kExternalRevoke, rt::hooks::kNoWorker,
                      rt::TaskKind::Batch, rt::TaskKind::Batch, this, tid});
     OpStatus expected = OpStatus::Pending;
     return slot.status.compare_exchange_strong(expected, OpStatus::Revoked,

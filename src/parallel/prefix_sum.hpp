@@ -2,18 +2,11 @@
 //
 // Prefix sums are the paper's workhorse primitive: the batched counter's BOP
 // is one scan (Fig. 2), and LAUNCHBATCH compacts the pending array with one
-// (Fig. 4).  Two implementations are provided:
-//
-//  * `scan_inclusive_blocked` — the practical three-phase scheme (block sums,
-//    serial scan of per-block sums, block fixup).  Θ(n) work, Θ(n/B + B)
-//    span; with B ≈ √n this is Θ(√n), and for the ≤P-element arrays BATCHER
-//    scans it is effectively flat.
-//  * `scan_inclusive_recursive` — Ladner–Fischer-style divide and conquer
-//    with Θ(n) work and Θ(lg² n) span under binary forking (lg n levels of
-//    recursion, each adding a constant offset in parallel).  This matches the
-//    bound the paper quotes for prefix sums in the fork/join model.
-//
-// Both are in-place and generic over the (associative) operator.
+// (Fig. 4).  `scan_inclusive_blocked` is the three-phase scheme (block sums,
+// serial scan of per-block sums, block fixup): Θ(n) work, Θ(n/B + B) span;
+// with B ≈ √n this is Θ(√n), and for the ≤P-element arrays BATCHER scans it
+// is effectively flat.  It is in-place and generic over the (associative)
+// operator.
 #pragma once
 
 #include <algorithm>
@@ -58,38 +51,7 @@ class ScanCutoffGuard {
   std::int64_t saved_;
 };
 
-namespace detail {
-
-template <typename T, typename Op>
-void add_offset(T* data, std::int64_t n, const T& offset, const Op& op) {
-  rt::parallel_for(0, n, [&](std::int64_t i) { data[i] = op(offset, data[i]); });
-}
-
-template <typename T, typename Op>
-void scan_recursive_impl(T* data, std::int64_t n, const Op& op,
-                         std::int64_t grain) {
-  if (n <= grain) {
-    for (std::int64_t i = 1; i < n; ++i) data[i] = op(data[i - 1], data[i]);
-    return;
-  }
-  const std::int64_t mid = n / 2;
-  rt::parallel_invoke([&] { scan_recursive_impl(data, mid, op, grain); },
-                      [&] { scan_recursive_impl(data + mid, n - mid, op, grain); });
-  add_offset(data + mid, n - mid, data[mid - 1], op);
-}
-
-}  // namespace detail
-
-// In-place inclusive scan, recursive variant (theory-shaped span).
-template <typename T, typename Op>
-void scan_inclusive_recursive(T* data, std::int64_t n, const Op& op,
-                              std::int64_t grain = 0) {
-  if (n <= 1) return;
-  if (grain <= 0) grain = rt::default_grain(n);
-  detail::scan_recursive_impl(data, n, op, grain);
-}
-
-// In-place inclusive scan, blocked variant (practical default).
+// In-place inclusive scan.
 template <typename T, typename Op>
 void scan_inclusive_blocked(T* data, std::int64_t n, const Op& op) {
   if (n <= 1) return;

@@ -67,10 +67,8 @@ FramePool::FreeNode* FramePool::refill(int c) {
   }
   local_[c] = head;
   stats_->slab_refills.bump();
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(owner_id_, trace::EventId::kFrameSlabRefill,
-                static_cast<std::uint16_t>(c));
-  }
+  hooks::emit({hooks::EventId::kFrameSlabRefill, owner_id_, TaskKind::Core,
+               TaskKind::Core, nullptr, static_cast<std::uint64_t>(c)});
   return head;
 }
 

@@ -37,9 +37,9 @@
 #include <new>
 #include <vector>
 
+#include "runtime/schedule_hooks.hpp"
 #include "runtime/stats.hpp"
 #include "support/config.hpp"
-#include "trace/trace.hpp"
 
 namespace batcher::rt {
 
@@ -217,14 +217,13 @@ class FramePool {
                                                  std::memory_order_relaxed));
     stats_->remote_frees.bump();
     stats_->frames_freed.bump();
-    if (trace::enabled()) [[unlikely]] {
-      // `c` was read before the push: once published, the owner may drain
-      // and reuse the frame, so the header is off limits here.
-      FramePool* mine = tls();
-      trace::emit(mine != nullptr ? mine->owner_id_ : trace::kNoWorkerId,
-                  trace::EventId::kFrameRemoteFree,
-                  static_cast<std::uint16_t>(c));
-    }
+    // `c` was read before the push: once published, the owner may drain and
+    // reuse the frame, so the header is off limits here.
+    FramePool* mine = tls();
+    hooks::emit({hooks::EventId::kFrameRemoteFree,
+                 mine != nullptr ? mine->owner_id_ : hooks::kNoWorker,
+                 TaskKind::Core, TaskKind::Core, nullptr,
+                 static_cast<std::uint64_t>(c)});
   }
 
   FreeNode* allocate_slow(int c);  // drain remote, else carve a new slab

@@ -1,84 +1,50 @@
-// Schedule-observation seam for the runtime and the BATCHER extension.
+// The runtime's one event seam: `hooks::emit`, called once per event site
+// by the worker loop, the steal paths, the frame pool, the Batcher's
+// LAUNCHBATCH protocol, ExternalDomain and the service router.  The event
+// vocabulary, the placement rule and which consumers each entry reaches are
+// in trace/event.hpp.
 //
-// The worker loop, the steal paths, and the Batcher's LAUNCHBATCH protocol
-// emit fine-grained events through `hooks::emit`.  An installed
-// `ScheduleObserver` (src/audit) can audit the paper's invariants at every
-// event and/or perturb the schedule by pausing inside the callback.  With
-// BATCHER_AUDIT=0 (the Release default) `emit` is an empty inline function
-// and the whole seam compiles away; with BATCHER_AUDIT=1 an un-installed
-// observer costs one relaxed load and a predicted-not-taken branch per hook.
-//
-// Emission points are placed so that the real synchronization order implies
-// the observer callback order: an event that publishes state (e.g. a slot
-// status store with release semantics) is emitted *before* the store, so any
-// event caused by observing that state is emitted strictly later in wall
-// time.  This lets a mutex-serialized observer maintain an exact model of the
-// protocol state with no false races.
+// With BATCHER_AUDIT=0 (the Release default) the observer half compiles away;
+// with BATCHER_AUDIT=1 an un-installed observer costs one acquire load and a
+// predicted-not-taken branch per observer-bound event.  The ring half costs
+// one relaxed load and a predicted-not-taken branch per ring-bound event in
+// every build while no TraceSession is open.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
 
-#include "runtime/task.hpp"
 #include "support/config.hpp"
+#include "trace/event.hpp"
+#include "trace/trace.hpp"
+
+namespace batcher::rt {
+
+// Invariant 3 of the paper: every ready node lives on a core deque or a batch
+// deque according to which dag it belongs to.  TaskKind is that tag (defined
+// here, below task.hpp, because events carry it).
+enum class TaskKind : std::uint8_t { Core = 0, Batch = 1 };
+inline constexpr int kNumTaskKinds = 2;
+
+}  // namespace batcher::rt
 
 namespace batcher::rt::hooks {
 
-// Where in the scheduler an event fired.  The `worker` field of HookEvent is
-// the worker the event is *about* — for the per-slot status transitions that
-// is the slot's owner, which may differ from the thread emitting the event
-// (LAUNCHBATCH flips other workers' statuses).
-enum class HookPoint : std::uint8_t {
-  kWorkerLoop,        // top of a worker's main-loop iteration
-  kPush,              // owner-side deque push (deque = task kind)
-  kPop,               // owner-side deque pop (deque = kind, value = hit)
-  kStealAttempt,      // try_steal (deque = kind, value = success)
-  kAlternatingSteal,  // steal_alternating chose `deque` for this attempt
-  kTaskRun,           // a task frame is about to run (deque = task kind)
-  kBatchifyEnter,     // worker submitted an op record to `domain`
-  kBatchifyExit,      // worker resumed from batchify (op done, slot freed)
-  kFlagCasWon,        // worker won the domain's batch-flag CAS
-  kLaunchEnter,       // LAUNCHBATCH begins on this worker
-  kBatchCollected,    // working set compacted (value = ops in the batch)
-  kLaunchExit,        // LAUNCHBATCH finished; the flag is about to reopen
-  kStatusFreeToPending,
-  kStatusPendingToExecuting,
-  kStatusExecutingToDone,
-  kStatusDoneToFree,
-  kAnnouncePush,    // worker pushed its (pending) slot onto the announce list
-  kAnnounceClaim,   // the launcher claimed the announce list (one exchange)
-  kLaunchChained,   // launcher starts another launch under the same flag hold
-                    // (value = chain index, >= 1)
-  // ExternalDomain (batcher/external.hpp) ingress-path events.  The subject
-  // is an external (non-worker) thread for submit/revoke — worker is
-  // kNoWorker and `value` carries the external tid — and the pump's worker
-  // for claim.  Each is emitted immediately *before* the status transition it
-  // announces, so a perturbing observer can stall a thread exactly inside the
-  // revoke races: owner revoke vs pump claim, and owner re-arm vs pump
-  // unlink of a revoked, still-linked slot.
-  kExternalSubmit,  // external thread about to publish its record: push
-                    // from Free or re-arm Revoked -> Pending (value = tid)
-  kExternalRevoke,  // external thread about to CAS Pending -> Revoked
-                    // (value = tid; deque field unused)
-  kExternalClaim,   // pump about to take a linked slot off its list:
-                    // Pending -> Executing or Revoked -> Free (value = tid)
-  // service::ShardRouter pump parking: a pump has registered as parked
-  // (parked++), fenced, and re-scanned every live shard empty, and is about
-  // to sleep on the gate's epoch.  domain = the router.  A publish that lands
-  // while an observer holds the pump here must still wake it.
-  kPumpPark,
-};
+using trace::EventId;
 
-inline constexpr unsigned kNoWorker = ~0u;
+inline constexpr unsigned kNoWorker = trace::kNoWorkerId;
 
-struct HookEvent {
-  HookPoint point;
-  unsigned worker = kNoWorker;        // subject worker (see HookPoint)
+// One event.  The observer sees every field; the ring record takes a16/a32
+// from them as the entry's kEvents row says (trace/event.hpp).
+struct Event {
+  EventId id;
+  unsigned worker = kNoWorker;        // subject worker
   TaskKind deque = TaskKind::Core;    // deque/task kind, where meaningful
   TaskKind context = TaskKind::Core;  // subject worker's current dag kind
-  const void* domain = nullptr;       // Batcher identity for batching events
-  std::uint64_t value = 0;            // point-specific payload
+  const void* domain = nullptr;       // Batcher, ExternalDomain or router
+  std::uint64_t value = 0;            // entry-specific payload
+  std::uint16_t domain_id = 0;        // trace::register_domain id of `domain`
 };
 
 // Observers are usable (and unit-testable, via synthetic event streams) in
@@ -86,7 +52,7 @@ struct HookEvent {
 class ScheduleObserver {
  public:
   virtual ~ScheduleObserver() = default;
-  virtual void on_event(const HookEvent& event) = 0;
+  virtual void on_event(const Event& event) = 0;
 };
 
 inline constexpr bool kEnabled = BATCHER_AUDIT != 0;
@@ -112,21 +78,16 @@ inline void install_observer(ScheduleObserver* observer) {
   observer_slot().store(observer, std::memory_order_release);
 }
 
-inline void emit(const HookEvent& event) {
-  ScheduleObserver* observer =
-      observer_slot().load(std::memory_order_acquire);
-  if (observer != nullptr) [[unlikely]] observer->on_event(event);
-}
-
 // Test-only fault switches, for proving the auditor catches broken builds
 // and that the failure-recovery paths (DESIGN.md §8) actually recover.
 //
 // `skip_batch_flag_cas` makes batchify behave, from the observer's point of
 // view, like a build that launches batches without taking the batch-flag CAS:
-// the kFlagCasWon event is suppressed, so the auditor sees a LAUNCHBATCH from
-// a worker that never acquired the flag and must flag Invariant 1.  (Actual
-// execution still takes the CAS — a genuinely skipped CAS would corrupt
-// memory long before any report could be printed.)
+// the observer does not see kFlagWon, so the auditor sees a LAUNCHBATCH from
+// a worker that never acquired the flag and must flag Invariant 1.  The ring
+// still records it: the trace reports what the schedule actually did.
+// (Actual execution still takes the CAS — a genuinely skipped CAS would
+// corrupt memory long before any report could be printed.)
 //
 // The throw_* members are one-shot countdowns: arming one with N > 0 makes
 // the Nth opportunity throw an InjectedFault (fire() decrements; the fault
@@ -172,11 +133,55 @@ inline bool fire(std::atomic<std::int64_t>& countdown) {
   return false;
 }
 
+inline void deliver(const Event& event) {
+  if (event.id == EventId::kFlagWon &&
+      test_faults().skip_batch_flag_cas.load(std::memory_order_relaxed)) {
+    return;
+  }
+  ScheduleObserver* observer =
+      observer_slot().load(std::memory_order_acquire);
+  if (observer != nullptr) [[unlikely]] observer->on_event(event);
+}
+
 #else  // !BATCHER_AUDIT
 
 inline void install_observer(ScheduleObserver*) {}
-inline void emit(const HookEvent&) {}
 
 #endif  // BATCHER_AUDIT
+
+inline std::uint16_t ring_a16(const Event& event, trace::A16 how) {
+  switch (how) {
+    case trace::A16::kKind:
+      return static_cast<std::uint16_t>(event.deque);
+    case trace::A16::kSteal:
+      return static_cast<std::uint16_t>(
+          (event.deque == TaskKind::Batch ? trace::kStealKindBatch : 0) |
+          (event.value != 0 ? trace::kStealSuccess : 0));
+    case trace::A16::kDomain:
+      return event.domain_id;
+    case trace::A16::kValue:
+      return static_cast<std::uint16_t>(event.value);
+    case trace::A16::kZero:
+      break;
+  }
+  return 0;
+}
+
+// The one call every event site makes.  Always inlined, so with the constant
+// `id` of a site the kEvents lookups fold away: a site pays only for the
+// consumers its entry reaches, and an untraced Release site is one relaxed
+// load and a predicted-not-taken branch, as when the ring push was written
+// out at the site.
+[[gnu::always_inline]] inline void emit(const Event& event) {
+  const trace::EventInfo& info = trace::event_info(event.id);
+#if BATCHER_AUDIT
+  if ((info.sinks & trace::kToObserver) != 0) deliver(event);
+#endif
+  if ((info.sinks & trace::kToRing) != 0 && trace::enabled()) [[unlikely]] {
+    trace::record(event.worker, event.id, ring_a16(event, info.a16),
+                  info.a32_is_value ? static_cast<std::uint32_t>(event.value)
+                                    : 0);
+  }
+}
 
 }  // namespace batcher::rt::hooks

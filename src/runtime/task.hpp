@@ -25,14 +25,10 @@
 #include <utility>
 
 #include "runtime/frame_pool.hpp"
+#include "runtime/schedule_hooks.hpp"
 #include "support/config.hpp"
 
 namespace batcher::rt {
-
-// Invariant 3 of the paper: every ready node lives on a core deque or a batch
-// deque according to which dag it belongs to.  TaskKind is that tag.
-enum class TaskKind : std::uint8_t { Core = 0, Batch = 1 };
-inline constexpr int kNumTaskKinds = 2;
 
 // Counts outstanding children of a fork.  The parent waits (while helping)
 // until the count drops to zero.  Counts only reach zero once per join.

@@ -7,6 +7,8 @@
 
 namespace batcher::rt {
 
+using hooks::EventId;
+
 namespace {
 thread_local Worker* t_current_worker = nullptr;
 }  // namespace
@@ -14,30 +16,25 @@ thread_local Worker* t_current_worker = nullptr;
 Worker* Worker::current() { return t_current_worker; }
 
 void Worker::run_task(Task* task) {
-  hooks::emit({hooks::HookPoint::kTaskRun, id_, task->kind(), kind_});
+  const TaskKind task_kind = task->kind();
 #if BATCHER_AUDIT
   // Fault injection: kill a joined core task before it runs, as if its
   // closure threw immediately.  Join-less frames (the scheduler root) are
-  // exempt — their error path is Scheduler::run's own wrapper.
-  if (task->kind() == TaskKind::Core && task->has_join() &&
+  // exempt — their error path is Scheduler::run's own wrapper.  The task
+  // never runs, so it emits no kTaskBegin: neither consumer sees it and the
+  // ring holds no task window without its kTaskEnd.
+  if (task_kind == TaskKind::Core && task->has_join() &&
       hooks::fire(hooks::test_faults().throw_in_core_task)) {
     task->fail_and_release(std::make_exception_ptr(
         hooks::InjectedFault("injected fault: core task failed before running")));
     return;
   }
 #endif
-  const TaskKind task_kind = task->kind();
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(id_, trace::EventId::kTaskBegin,
-                static_cast<std::uint16_t>(task_kind));
-  }
+  hooks::emit({EventId::kTaskBegin, id_, task_kind, kind_});
   KindScope scope(*this, task_kind);
   task->run_and_release();
   stats_.tasks_executed.bump();
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(id_, trace::EventId::kTaskEnd,
-                static_cast<std::uint16_t>(task_kind));
-  }
+  hooks::emit({EventId::kTaskEnd, id_, task_kind});
 }
 
 Task* Worker::try_steal(TaskKind kind) {
@@ -69,14 +66,8 @@ Task* Worker::try_steal(TaskKind kind) {
   if (kind == TaskKind::Batch) {
     last_batch_victim_ = task != nullptr ? victim : kNoVictim;
   }
-  hooks::emit({hooks::HookPoint::kStealAttempt, id_, kind, kind_, nullptr,
+  hooks::emit({EventId::kSteal, id_, kind, kind_, nullptr,
                task != nullptr ? 1u : 0u});
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(id_, trace::EventId::kSteal,
-                static_cast<std::uint16_t>(
-                    (kind == TaskKind::Batch ? trace::kStealKindBatch : 0) |
-                    (task != nullptr ? trace::kStealSuccess : 0)));
-  }
   if (task != nullptr) stats_.steals_succeeded.bump();
   return task;
 }
@@ -86,7 +77,7 @@ Task* Worker::steal_alternating() {
   // even, batch deques when k is odd.
   const TaskKind kind =
       (steal_tick_++ % 2 == 0) ? TaskKind::Core : TaskKind::Batch;
-  hooks::emit({hooks::HookPoint::kAlternatingSteal, id_, kind, kind_});
+  hooks::emit({EventId::kAlternatingSteal, id_, kind, kind_});
   return try_steal(kind);
 }
 
@@ -95,10 +86,10 @@ void Worker::wait(JoinCounter& join) {
   // The caller's strand is paused (parallel_invoke) for this whole window:
   // any time not inside a helped task's own kTaskBegin/End pair is steal
   // attempts and backoff, which attribution charges to the steal bucket.
+  // One enabled() read gates both records, so a session that opens mid-wait
+  // records no unpaired end.
   const bool traced = trace::enabled();
-  if (traced) [[unlikely]] {
-    trace::emit(id_, trace::EventId::kJoinWaitBegin);
-  }
+  if (traced) [[unlikely]] hooks::emit({EventId::kJoinWaitBegin, id_});
   Backoff backoff;
   while (!join.done()) {
     // Drain our own deque for the dag we are part of first: those tasks are
@@ -122,9 +113,7 @@ void Worker::wait(JoinCounter& join) {
       backoff.pause();
     }
   }
-  if (traced) [[unlikely]] {
-    trace::emit(id_, trace::EventId::kJoinWaitEnd);
-  }
+  if (traced) [[unlikely]] hooks::emit({EventId::kJoinWaitEnd, id_});
 }
 
 bool Worker::help_batch_once() {
@@ -141,9 +130,7 @@ void Worker::main_loop() {
   // Strand segments closed on this thread accrue measured T1 into this
   // worker's stats block for the rest of the thread's life.
   trace::ledger::set_thread_work_sink(&stats_.work_ns);
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(id_, trace::EventId::kWorkerStart);
-  }
+  hooks::emit({EventId::kWorkerStart, id_});
   Backoff backoff;
   while (!sched_->stopping()) {
     if (!sched_->run_active()) {
@@ -153,9 +140,7 @@ void Worker::main_loop() {
       // the frame counts batched during the run, so all-parked snapshots
       // satisfy frames_allocated == frames_freed exactly.
       frame_pool_.flush_stats();
-      if (trace::enabled()) [[unlikely]] {
-        trace::emit(id_, trace::EventId::kParkBegin);
-      }
+      hooks::emit({EventId::kParkBegin, id_});
       std::unique_lock<std::mutex> lock(sched_->mutex_);
       ++sched_->parked_workers_;
       sched_->caller_cv_.notify_all();
@@ -164,12 +149,10 @@ void Worker::main_loop() {
       });
       --sched_->parked_workers_;
       lock.unlock();
-      if (trace::enabled()) [[unlikely]] {
-        trace::emit(id_, trace::EventId::kParkEnd);
-      }
+      hooks::emit({EventId::kParkEnd, id_});
       continue;
     }
-    hooks::emit({hooks::HookPoint::kWorkerLoop, id_, TaskKind::Core, kind_});
+    hooks::emit({EventId::kWorkerLoop, id_, TaskKind::Core, kind_});
     Task* task = sched_->take_root();
     if (task == nullptr) task = pop(TaskKind::Batch);
     if (task == nullptr) task = pop(TaskKind::Core);
@@ -184,9 +167,7 @@ void Worker::main_loop() {
   // The stop flag can interrupt the loop without another park, so flush once
   // more: the scheduler's destructor reads stats after joining this thread.
   frame_pool_.flush_stats();
-  if (trace::enabled()) [[unlikely]] {
-    trace::emit(id_, trace::EventId::kWorkerExit);
-  }
+  hooks::emit({EventId::kWorkerExit, id_});
   trace::ledger::set_thread_work_sink(nullptr);
   FramePool::set_tls(nullptr);
   t_current_worker = nullptr;

@@ -39,12 +39,12 @@ class alignas(kCacheLineSize) Worker {
 
   // Owner-side deque operations.
   void push(Task* task) {
-    hooks::emit({hooks::HookPoint::kPush, id_, task->kind(), kind_});
+    hooks::emit({hooks::EventId::kPush, id_, task->kind(), kind_});
     deques_[static_cast<int>(task->kind())].push(task);
   }
   Task* pop(TaskKind kind) {
     Task* task = deques_[static_cast<int>(kind)].pop();
-    hooks::emit({hooks::HookPoint::kPop, id_, kind, kind_, nullptr,
+    hooks::emit({hooks::EventId::kPop, id_, kind, kind_, nullptr,
                  task != nullptr ? 1u : 0u});
     return task;
   }

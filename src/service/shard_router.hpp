@@ -309,22 +309,19 @@ class ShardRouter {
       return;
     }
     const unsigned worker = rt::Worker::current()->id();
-    rt::hooks::emit({rt::hooks::HookPoint::kPumpPark, worker,
-                     rt::TaskKind::Core, rt::TaskKind::Core, this, 0});
+    rt::hooks::emit({rt::hooks::EventId::kPumpParkBegin, worker,
+                     rt::TaskKind::Core, rt::TaskKind::Core, this});
     // A parked pump is not working: its interval goes to the parked bucket
     // and its strand stops accruing T1 until it wakes.
     const bool traced = trace::enabled();
-    if (traced) [[unlikely]] {
-      trace::emit(worker, trace::EventId::kPumpParkBegin);
-      trace::ledger::strand_pause();
-    }
+    if (traced) [[unlikely]] trace::ledger::strand_pause();
     pump_parks_.fetch_add(1, std::memory_order_relaxed);
     gate_.epoch.wait(epoch, std::memory_order_acquire);
     pump_wakes_.fetch_add(1, std::memory_order_relaxed);
     gate_.parked.fetch_sub(1);
     if (traced) [[unlikely]] {
       trace::ledger::strand_resume({});
-      trace::emit(worker, trace::EventId::kPumpParkEnd);
+      rt::hooks::emit({rt::hooks::EventId::kPumpParkEnd, worker});
     }
   }
 

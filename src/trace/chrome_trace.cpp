@@ -265,8 +265,8 @@ std::string chrome_trace_json(const Trace& trace, ChromeTraceOptions options) {
                                                       : "worker exit");
           w.end_object();
           break;
-        case EventId::kNone:
-          break;
+        default:
+          break;  // observer-only entries never reach a ring
       }
     }
     // Close slices left dangling by drops (or a mid-slice session stop).

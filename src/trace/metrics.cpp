@@ -325,16 +325,8 @@ MetricsReport build_metrics(const Trace& trace) {
         case EventId::kParkBegin:
           p.steal_streak_open = false;  // a parked worker is not searching
           break;
-        case EventId::kWorkerStart:
-        case EventId::kWorkerExit:
-        case EventId::kParkEnd:
-        case EventId::kJoinWaitBegin:
-        case EventId::kJoinWaitEnd:
-        case EventId::kPumpParkBegin:
-        case EventId::kPumpParkEnd:
-          break;  // attribution events; consumed by AttributionReplay above
-        case EventId::kNone:
-          break;
+        default:
+          break;  // attribution events, consumed by AttributionReplay above
       }
     }
     m.unmatched_edges += p.open_edges();

@@ -1,13 +1,13 @@
 // Always-on tracing layer: per-thread trace rings + the TraceSession that
 // collects them.
 //
-// Unlike the BATCHER_AUDIT hook seam, this layer is compiled into every
-// build, including Release: with no session active, every instrumentation
-// point costs exactly one relaxed load and a predicted-not-taken branch
-// (`trace::enabled()`).  With a session active, an event is a timestamp read
-// plus a ring push (two relaxed stores and a release store) into a ring the
-// emitting thread owns — no sharing, no locks, no allocation on the hot
-// path.
+// The ring is one of the two consumers of the event seam (event.hpp).  Unlike
+// the observer, it is compiled into every build, including Release: with no
+// session active, every ring-bound event site costs exactly one relaxed load
+// and a predicted-not-taken branch (`trace::enabled()`).  With a session
+// active, an event is a timestamp read plus a ring push (two relaxed stores
+// and a release store) into a ring the emitting thread owns — no sharing, no
+// locks, no allocation on the hot path.
 //
 // Lifecycle and memory-ordering contract (DESIGN.md §9):
 //
@@ -27,9 +27,9 @@
 //    use-after-free window at all.
 //  * At most one session exists at a time (asserted).
 //
-// The layer deliberately does not depend on the runtime: emission points
-// pass their worker id in, so src/trace sits next to src/support at the
-// bottom of the dependency stack and the runtime/batcher link against it.
+// The layer deliberately does not depend on the runtime: event sites pass
+// their worker id in, so src/trace sits next to src/support at the bottom of
+// the dependency stack and the runtime/batcher link against it.
 #pragma once
 
 #include <atomic>
@@ -61,15 +61,17 @@ RingHandle* register_thread(unsigned worker_id);
 
 }  // namespace detail
 
-// The one check every instrumentation point performs.  Call sites guard with
-// `if (trace::enabled()) [[unlikely]]` so payload computation is also skipped
-// when no session is active.
+// The one check every ring-bound event site performs (inside
+// rt::hooks::emit); other code that only runs while a session is open, such
+// as the bound ledger's strand bookkeeping, guards on it too.
 inline bool enabled() {
   return detail::g_enabled.load(std::memory_order_relaxed);
 }
 
-inline void emit(unsigned worker, EventId event, std::uint16_t a16 = 0,
-                 std::uint32_t a32 = 0) {
+// Appends one record to the calling thread's ring.  Event sites reach it
+// through rt::hooks::emit, which fills a16/a32 from the event's kEvents row.
+inline void record(unsigned worker, EventId event, std::uint16_t a16 = 0,
+                   std::uint32_t a32 = 0) {
   if (!enabled()) return;
   detail::RingHandle* h = detail::t_ring;
   if (h == nullptr) h = detail::register_thread(worker);

@@ -1,94 +1,14 @@
-// The 16-byte trace record and the event vocabulary of the always-on
-// tracing layer (src/trace).
-//
-// Unlike the audit seam (runtime/schedule_hooks.hpp), which exists to *check*
-// the protocol and compiles away in Release builds, trace records exist to
-// *measure* it: every record carries a nanosecond timestamp, so a drained
-// trace reconstructs when each paper quantity happened — op submit→done
-// latency, flag-held windows, LAUNCHBATCH phases, steal streaks — not just
-// how often.  Records are fixed-size so a worker's ring buffer writes them
+// The 16-byte trace record of the always-on tracing layer (src/trace).  The
+// event vocabulary, and which fields of an event fill a16/a32, are in
+// event.hpp.  Records are fixed-size so a worker's ring buffer writes them
 // with two plain stores and no allocation.
 #pragma once
 
 #include <cstdint>
 
+#include "trace/event.hpp"
+
 namespace batcher::trace {
-
-// What happened.  The a16/a32 payload meaning is per-event:
-//
-//   kTaskBegin / kTaskEnd   a16 = task kind (0 core, 1 batch)
-//   kSteal                  a16 = bit0 target kind (1 = batch),
-//                                 bit1 success
-//   kOpSubmit / kOpResume   a16 = batching-domain id (register_domain)
-//   kFlagWon                a16 = domain id
-//   kLaunchEnter            a16 = domain id
-//   kCollected              a16 = domain id, a32 = ops in the batch
-//   kBopDone                a16 = domain id
-//   kLaunchExit             a16 = domain id, a32 = ops carried to done
-//   kFrameSlabRefill        a16 = size class; ring = owning worker
-//   kFrameRemoteFree        a16 = size class; ring = freeing thread
-//   kAnnouncePush           a16 = domain id (announce-list CAS push)
-//   kFlagCasFail            a16 = domain id (lost the batch-flag CAS race)
-//   kLaunchChained          a16 = domain id, a32 = chain index (>= 1);
-//                           next launch runs under the same flag hold
-//   kFlagReopen             a16 = domain id; the flag is about to reopen —
-//                           closes the flag-held window kFlagWon opened
-//                           (kLaunchExit no longer implies a reopen: a
-//                           chained launch keeps the flag)
-//   kOpTimeout              a16 = domain id; an external submit revoked its
-//                           still-pending record at its deadline (the ring is
-//                           the submitting thread's)
-//   kOpShed                 a16 = domain id; an external submit was refused
-//                           before publication because pending depth was at
-//                           the domain's shed threshold
-//   kWorkerStart            worker thread entered its main loop (emitted only
-//                           when a session is already active at thread start;
-//                           the attribution replay starts this thread's
-//                           accountable window here instead of at t0)
-//   kWorkerExit             worker thread left its main loop — closes the
-//                           accountable window
-//   kParkBegin / kParkEnd   the between-runs park on the scheduler's condition
-//                           variable (attribution bucket: parked)
-//   kJoinWaitBegin / kJoinWaitEnd
-//                           Worker::wait blocked at a join, helping/stealing
-//                           (attribution bucket: steal-attempt; the tasks it
-//                           helps with open their own kTaskBegin windows)
-//   kPumpParkBegin / kPumpParkEnd
-//                           a service::ShardRouter pump task asleep on the
-//                           router's parking gate (attribution bucket:
-//                           parked, though the pump task is still running)
-enum class EventId : std::uint16_t {
-  kNone = 0,
-  kTaskBegin,
-  kTaskEnd,
-  kSteal,
-  kOpSubmit,
-  kOpResume,
-  kFlagWon,
-  kLaunchEnter,
-  kCollected,
-  kBopDone,
-  kLaunchExit,
-  kFrameSlabRefill,
-  kFrameRemoteFree,
-  kAnnouncePush,
-  kFlagCasFail,
-  kLaunchChained,
-  kFlagReopen,
-  kOpTimeout,
-  kOpShed,
-  kWorkerStart,
-  kWorkerExit,
-  kParkBegin,
-  kParkEnd,
-  kJoinWaitBegin,
-  kJoinWaitEnd,
-  kPumpParkBegin,
-  kPumpParkEnd,
-};
-
-inline constexpr std::uint16_t kStealKindBatch = 1;  // kSteal a16 bit 0
-inline constexpr std::uint16_t kStealSuccess = 2;    // kSteal a16 bit 1
 
 // One drained trace record.  The in-ring representation packs the same 16
 // bytes into two relaxed-atomic words (trace_ring.hpp) so a concurrent drain

@@ -38,28 +38,28 @@ namespace hooks = rt::hooks;
 using audit::AuditSession;
 using audit::InvariantAuditor;
 using audit::SchedulePerturber;
-using hooks::HookEvent;
-using hooks::HookPoint;
+using hooks::Event;
+using hooks::EventId;
 using rt::TaskKind;
 
 // --- 1. Auditor vs synthetic schedules -------------------------------------
 
 // A well-formed single-op protocol round trip on worker `w`.
-std::vector<HookEvent> clean_round_trip(unsigned w, const void* dom) {
+std::vector<Event> clean_round_trip(unsigned w, const void* dom) {
   return {
-      {HookPoint::kBatchifyEnter, w, TaskKind::Core, TaskKind::Core, dom},
-      {HookPoint::kStatusFreeToPending, w, TaskKind::Core, TaskKind::Core, dom},
-      {HookPoint::kPop, w, TaskKind::Batch, TaskKind::Core, nullptr, 0},
-      {HookPoint::kFlagCasWon, w, TaskKind::Core, TaskKind::Core, dom},
-      {HookPoint::kLaunchEnter, w, TaskKind::Batch, TaskKind::Batch, dom},
-      {HookPoint::kStatusPendingToExecuting, w, TaskKind::Batch,
+      {EventId::kOpSubmit, w, TaskKind::Core, TaskKind::Core, dom},
+      {EventId::kStatusFreeToPending, w, TaskKind::Core, TaskKind::Core, dom},
+      {EventId::kPop, w, TaskKind::Batch, TaskKind::Core, nullptr, 0},
+      {EventId::kFlagWon, w, TaskKind::Core, TaskKind::Core, dom},
+      {EventId::kLaunchEnter, w, TaskKind::Batch, TaskKind::Batch, dom},
+      {EventId::kStatusPendingToExecuting, w, TaskKind::Batch,
        TaskKind::Batch, dom},
-      {HookPoint::kBatchCollected, w, TaskKind::Batch, TaskKind::Batch, dom, 1},
-      {HookPoint::kStatusExecutingToDone, w, TaskKind::Batch, TaskKind::Batch,
+      {EventId::kCollected, w, TaskKind::Batch, TaskKind::Batch, dom, 1},
+      {EventId::kStatusExecutingToDone, w, TaskKind::Batch, TaskKind::Batch,
        dom},
-      {HookPoint::kLaunchExit, w, TaskKind::Batch, TaskKind::Batch, dom, 1},
-      {HookPoint::kStatusDoneToFree, w, TaskKind::Core, TaskKind::Core, dom},
-      {HookPoint::kBatchifyExit, w, TaskKind::Core, TaskKind::Core, dom},
+      {EventId::kLaunchExit, w, TaskKind::Batch, TaskKind::Batch, dom, 1},
+      {EventId::kStatusDoneToFree, w, TaskKind::Core, TaskKind::Core, dom},
+      {EventId::kOpResume, w, TaskKind::Core, TaskKind::Core, dom},
   };
 }
 
@@ -67,23 +67,23 @@ TEST(AuditorSynthetic, CleanProtocolRoundTripHasNoViolations) {
   InvariantAuditor auditor(4);
   int dom = 0;
   for (unsigned w = 0; w < 4; ++w) {
-    for (const HookEvent& ev : clean_round_trip(w, &dom)) auditor.on_event(ev);
+    for (const Event& ev : clean_round_trip(w, &dom)) auditor.on_event(ev);
   }
   EXPECT_TRUE(auditor.clean()) << auditor.report();
   EXPECT_EQ(auditor.events_observed(), 4 * 11u);
 }
 
 TEST(AuditorSynthetic, SkippedBatchFlagCasIsCaught) {
-  // The "broken build" schedule: LAUNCHBATCH entered without any kFlagCasWon,
+  // The "broken build" schedule: LAUNCHBATCH entered without any kFlagWon,
   // exactly what a build that skips the batch-flag CAS produces.
   InvariantAuditor auditor(4);
   int dom = 0;
   auditor.on_event(
-      {HookPoint::kBatchifyEnter, 2, TaskKind::Core, TaskKind::Core, &dom});
-  auditor.on_event({HookPoint::kStatusFreeToPending, 2, TaskKind::Core,
+      {EventId::kOpSubmit, 2, TaskKind::Core, TaskKind::Core, &dom});
+  auditor.on_event({EventId::kStatusFreeToPending, 2, TaskKind::Core,
                     TaskKind::Core, &dom});
   auditor.on_event(
-      {HookPoint::kLaunchEnter, 2, TaskKind::Batch, TaskKind::Batch, &dom});
+      {EventId::kLaunchEnter, 2, TaskKind::Batch, TaskKind::Batch, &dom});
   ASSERT_FALSE(auditor.clean());
   const std::string report = auditor.report();
   EXPECT_NE(report.find("Invariant 1"), std::string::npos) << report;
@@ -95,9 +95,9 @@ TEST(AuditorSynthetic, OverlappingFlagAcquisitionIsCaught) {
   InvariantAuditor auditor(4);
   int dom = 0;
   auditor.on_event(
-      {HookPoint::kFlagCasWon, 0, TaskKind::Core, TaskKind::Core, &dom});
+      {EventId::kFlagWon, 0, TaskKind::Core, TaskKind::Core, &dom});
   auditor.on_event(
-      {HookPoint::kFlagCasWon, 1, TaskKind::Core, TaskKind::Core, &dom});
+      {EventId::kFlagWon, 1, TaskKind::Core, TaskKind::Core, &dom});
   ASSERT_EQ(auditor.violation_count(), 1u);
   EXPECT_EQ(auditor.violations()[0].invariant,
             "Invariant 1 (one active batch)");
@@ -108,13 +108,13 @@ TEST(AuditorSynthetic, TrappedWorkerTouchingCoreDequeIsCaught) {
   InvariantAuditor auditor(4);
   int dom = 0;
   auditor.on_event(
-      {HookPoint::kBatchifyEnter, 1, TaskKind::Core, TaskKind::Core, &dom});
+      {EventId::kOpSubmit, 1, TaskKind::Core, TaskKind::Core, &dom});
   // Fig. 3 says a trapped worker only executes batch work; popping or
   // stealing core is the violation.
   auditor.on_event(
-      {HookPoint::kPop, 1, TaskKind::Core, TaskKind::Core, nullptr, 1});
+      {EventId::kPop, 1, TaskKind::Core, TaskKind::Core, nullptr, 1});
   auditor.on_event(
-      {HookPoint::kStealAttempt, 1, TaskKind::Core, TaskKind::Core, nullptr, 0});
+      {EventId::kSteal, 1, TaskKind::Core, TaskKind::Core, nullptr, 0});
   EXPECT_EQ(auditor.violation_count(), 2u);
   const std::string report = auditor.report();
   EXPECT_NE(report.find("trapped"), std::string::npos) << report;
@@ -124,7 +124,7 @@ TEST(AuditorSynthetic, TrappedWorkerTouchingCoreDequeIsCaught) {
 TEST(AuditorSynthetic, BatchContextCoreStealIsCaught) {
   InvariantAuditor auditor(4);
   auditor.on_event(
-      {HookPoint::kStealAttempt, 3, TaskKind::Core, TaskKind::Batch, nullptr, 0});
+      {EventId::kSteal, 3, TaskKind::Core, TaskKind::Batch, nullptr, 0});
   ASSERT_EQ(auditor.violation_count(), 1u);
   EXPECT_EQ(auditor.violations()[0].invariant,
             "Invariant 3 (core/batch deque separation)");
@@ -134,11 +134,11 @@ TEST(AuditorSynthetic, OversizedBatchIsCaught) {
   InvariantAuditor auditor(4);
   int dom = 0;
   auditor.on_event(
-      {HookPoint::kFlagCasWon, 0, TaskKind::Core, TaskKind::Core, &dom});
+      {EventId::kFlagWon, 0, TaskKind::Core, TaskKind::Core, &dom});
   auditor.on_event(
-      {HookPoint::kLaunchEnter, 0, TaskKind::Batch, TaskKind::Batch, &dom});
+      {EventId::kLaunchEnter, 0, TaskKind::Batch, TaskKind::Batch, &dom});
   auditor.on_event(
-      {HookPoint::kBatchCollected, 0, TaskKind::Batch, TaskKind::Batch, &dom, 5});
+      {EventId::kCollected, 0, TaskKind::Batch, TaskKind::Batch, &dom, 5});
   ASSERT_EQ(auditor.violation_count(), 1u);
   EXPECT_EQ(auditor.violations()[0].invariant,
             "Invariant 2 (batch size at most P)");
@@ -152,9 +152,9 @@ TEST(AuditorSynthetic, IllegalStatusTransitionIsCaught) {
   int dom = 0;
   // pending -> done skips executing: the Fig. 3 machine must flag it (twice:
   // once for the bad edge, once for flipping to done outside a launch).
-  auditor.on_event({HookPoint::kStatusFreeToPending, 0, TaskKind::Core,
+  auditor.on_event({EventId::kStatusFreeToPending, 0, TaskKind::Core,
                     TaskKind::Core, &dom});
-  auditor.on_event({HookPoint::kStatusExecutingToDone, 0, TaskKind::Batch,
+  auditor.on_event({EventId::kStatusExecutingToDone, 0, TaskKind::Batch,
                     TaskKind::Batch, &dom});
   ASSERT_GE(auditor.violation_count(), 1u);
   EXPECT_EQ(auditor.violations()[0].invariant,
@@ -167,9 +167,9 @@ TEST(AuditorSynthetic, DoubleSuspendedOpIsCaught) {
   InvariantAuditor auditor(4);
   int dom_a = 0, dom_b = 0;
   auditor.on_event(
-      {HookPoint::kBatchifyEnter, 0, TaskKind::Core, TaskKind::Core, &dom_a});
+      {EventId::kOpSubmit, 0, TaskKind::Core, TaskKind::Core, &dom_a});
   auditor.on_event(
-      {HookPoint::kBatchifyEnter, 0, TaskKind::Core, TaskKind::Core, &dom_b});
+      {EventId::kOpSubmit, 0, TaskKind::Core, TaskKind::Core, &dom_b});
   ASSERT_EQ(auditor.violation_count(), 1u);
   EXPECT_NE(auditor.report().find("more than one suspended op"),
             std::string::npos)
@@ -178,11 +178,11 @@ TEST(AuditorSynthetic, DoubleSuspendedOpIsCaught) {
 
 TEST(AuditorSynthetic, AlternatingStealParityBreakIsCaught) {
   InvariantAuditor auditor(4);
-  auditor.on_event({HookPoint::kAlternatingSteal, 0, TaskKind::Core,
+  auditor.on_event({EventId::kAlternatingSteal, 0, TaskKind::Core,
                     TaskKind::Core});
-  auditor.on_event({HookPoint::kAlternatingSteal, 0, TaskKind::Batch,
+  auditor.on_event({EventId::kAlternatingSteal, 0, TaskKind::Batch,
                     TaskKind::Core});
-  auditor.on_event({HookPoint::kAlternatingSteal, 0, TaskKind::Batch,
+  auditor.on_event({EventId::kAlternatingSteal, 0, TaskKind::Batch,
                     TaskKind::Core});
   ASSERT_EQ(auditor.violation_count(), 1u);
   EXPECT_EQ(auditor.violations()[0].invariant, "§4 (alternating-steal parity)");
@@ -192,12 +192,12 @@ TEST(AuditorSynthetic, ResetForgetsStateAndViolations) {
   InvariantAuditor auditor(4);
   int dom = 0;
   auditor.on_event(
-      {HookPoint::kLaunchEnter, 0, TaskKind::Batch, TaskKind::Batch, &dom});
+      {EventId::kLaunchEnter, 0, TaskKind::Batch, TaskKind::Batch, &dom});
   ASSERT_FALSE(auditor.clean());
   auditor.reset();
   EXPECT_TRUE(auditor.clean());
   EXPECT_EQ(auditor.events_observed(), 0u);
-  for (const HookEvent& ev : clean_round_trip(0, &dom)) auditor.on_event(ev);
+  for (const Event& ev : clean_round_trip(0, &dom)) auditor.on_event(ev);
   EXPECT_TRUE(auditor.clean()) << auditor.report();
 }
 
@@ -207,7 +207,7 @@ TEST(AuditorSynthetic, ResetForgetsStateAndViolations) {
 // only their count does.
 void feed_events(SchedulePerturber& p, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    p.on_event({HookPoint::kWorkerLoop, 0, TaskKind::Core, TaskKind::Core});
+    p.on_event({EventId::kWorkerLoop, 0, TaskKind::Core, TaskKind::Core});
   }
 }
 

@@ -350,19 +350,19 @@ TEST(AnnounceChaining, ChainLimitOneDisablesChaining) {
 }
 
 // Counts launches per flag hold straight off the hook stream: a hold starts
-// at kFlagCasWon with one launch and grows by one per kLaunchChained, so the
+// at kFlagWon with one launch and grows by one per kLaunchChained, so the
 // per-hold launch count must never exceed the configured chain limit.
 class ChainBoundObserver final : public rt::hooks::ScheduleObserver {
  public:
   explicit ChainBoundObserver(std::uint64_t limit) : limit_(limit) {}
 
-  void on_event(const rt::hooks::HookEvent& event) override {
-    using P = rt::hooks::HookPoint;
+  void on_event(const rt::hooks::Event& event) override {
+    using P = rt::hooks::EventId;
     // Flag ownership is serialized per domain, so these two points never
     // race each other; relaxed atomics only make the counters TSan-clean.
-    if (event.point == P::kFlagCasWon) {
+    if (event.id == P::kFlagWon) {
       launches_this_hold_.store(1, std::memory_order_relaxed);
-    } else if (event.point == P::kLaunchChained) {
+    } else if (event.id == P::kLaunchChained) {
       const std::uint64_t n =
           launches_this_hold_.fetch_add(1, std::memory_order_relaxed) + 1;
       if (n > limit_) over_limit_.store(true, std::memory_order_relaxed);

@@ -51,8 +51,8 @@ using audit::FaultSchedule;
 using audit::SchedulePerturber;
 using audit::StallReport;
 using audit::StallWatchdog;
-using hooks::HookEvent;
-using hooks::HookPoint;
+using hooks::Event;
+using hooks::EventId;
 using rt::TaskKind;
 
 #define REQUIRE_LIVE_HOOKS()                                              \
@@ -61,8 +61,8 @@ using rt::TaskKind;
       GTEST_SKIP() << "built without BATCHER_AUDIT; no live hook stream"; \
   } while (0)
 
-HookEvent synthetic_event(unsigned w) {
-  return {HookPoint::kPop, w, TaskKind::Batch, TaskKind::Core, nullptr, 0};
+Event synthetic_event(unsigned w) {
+  return {EventId::kPop, w, TaskKind::Batch, TaskKind::Core, nullptr, 0};
 }
 
 // --- 1. FaultSchedule unit behaviour ----------------------------------------
@@ -187,7 +187,7 @@ TEST(Escalation, StallProbeEscalatesAndQuarantineUnblocksSubmitter) {
 
   // Synthesize the wedged-launch evidence (a flag acquired and never
   // released); in audited runs the live hook stream provides this.
-  wd.on_event({HookPoint::kFlagCasWon, 0, TaskKind::Core, TaskKind::Core,
+  wd.on_event({EventId::kFlagWon, 0, TaskKind::Core, TaskKind::Core,
                &domain});
 
   ds::BatchedCounter::Op op;
@@ -257,7 +257,7 @@ TEST(Escalation, QuarantineFailClaimedFailsRecordsOfAWedgedPump) {
 struct ChaosObserver final : hooks::ScheduleObserver {
   AuditSession* session;
   FaultSchedule* faults;
-  void on_event(const HookEvent& event) override {
+  void on_event(const Event& event) override {
     session->on_event(event);
     faults->on_event(event);
   }
@@ -546,7 +546,7 @@ TEST(ChaosSweep, MultiDomainPerturbedSweepBothShutdownOrders) {
 // counters rather than auditing the schedule model.
 struct FaultOnlyObserver final : hooks::ScheduleObserver {
   FaultSchedule* faults;
-  void on_event(const HookEvent& event) override { faults->on_event(event); }
+  void on_event(const Event& event) override { faults->on_event(event); }
 };
 
 // Satellite of the service front-end PR: one seeded run where timeouts,

@@ -9,8 +9,6 @@
 #include <vector>
 
 #include "concurrent/counters.hpp"
-#include "concurrent/global_lock.hpp"
-#include "concurrent/lazy_skiplist.hpp"
 #include "concurrent/seq_skiplist.hpp"
 #include "support/rng.hpp"
 
@@ -101,109 +99,6 @@ TEST(MutexCounter, ParallelIncrementsAllLand) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(c.read(), 4 * 5000 * 2);
-}
-
-TEST(GlobalLock, WrapsSequentialStructureSafely) {
-  GlobalLock<SeqSkipList> locked;
-  constexpr int kThreads = 4;
-  constexpr int kPer = 2000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPer; ++i) {
-        locked.with([&](SeqSkipList& l) { return l.insert(t * kPer + i); });
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(locked.unsafe().size(),
-            static_cast<std::size_t>(kThreads * kPer));
-}
-
-TEST(LazySkipList, SequentialSemantics) {
-  LazySkipList list;
-  EXPECT_TRUE(list.insert(5));
-  EXPECT_FALSE(list.insert(5));
-  EXPECT_TRUE(list.contains(5));
-  EXPECT_FALSE(list.contains(6));
-  EXPECT_TRUE(list.erase(5));
-  EXPECT_FALSE(list.erase(5));
-  EXPECT_FALSE(list.contains(5));
-}
-
-TEST(LazySkipList, ConcurrentDistinctInserts) {
-  LazySkipList list;
-  constexpr int kThreads = 4;
-  constexpr int kPer = 3000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kPer; ++i) {
-        ASSERT_TRUE(list.insert(t * kPer + i));
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(list.size_approx(), static_cast<std::size_t>(kThreads * kPer));
-  for (int k = 0; k < kThreads * kPer; ++k) ASSERT_TRUE(list.contains(k));
-}
-
-TEST(LazySkipList, ContendedIdenticalKeysOneWinner) {
-  LazySkipList list;
-  constexpr int kThreads = 8;
-  std::atomic<int> winners{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      if (list.insert(42)) winners.fetch_add(1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(winners.load(), 1);
-  EXPECT_TRUE(list.contains(42));
-}
-
-TEST(LazySkipList, ConcurrentInsertEraseConservation) {
-  LazySkipList list;
-  for (std::int64_t k = 0; k < 2000; ++k) list.insert(k);
-  constexpr int kThreads = 4;
-  std::atomic<int> erased{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      // All threads race to erase the same 2000 keys.
-      for (std::int64_t k = 0; k < 2000; ++k) {
-        if (list.erase(k)) erased.fetch_add(1);
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(erased.load(), 2000) << "each key erased exactly once";
-  EXPECT_EQ(list.size_approx(), 0u);
-}
-
-TEST(LazySkipList, MixedChurn) {
-  LazySkipList list;
-  constexpr int kThreads = 4;
-  std::vector<std::thread> threads;
-  std::atomic<std::int64_t> net{0};
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      Xoshiro256 rng(static_cast<std::uint64_t>(t) + 1);
-      for (int i = 0; i < 4000; ++i) {
-        const std::int64_t k = static_cast<std::int64_t>(rng.next_below(128));
-        if (rng.next() & 1) {
-          if (list.insert(k)) net.fetch_add(1);
-        } else {
-          if (list.erase(k)) net.fetch_sub(1);
-        }
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(list.size_approx(), static_cast<std::size_t>(net.load()));
-  // Structure still sane: every key either present or absent, queries work.
-  for (std::int64_t k = 0; k < 128; ++k) list.contains(k);
 }
 
 }  // namespace

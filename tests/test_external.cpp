@@ -355,9 +355,9 @@ struct SubmitWindowGate final : rt::hooks::ScheduleObserver {
   std::atomic<const ExternalDomain*> target{nullptr};
   std::atomic<std::size_t> parked{0};
   std::size_t storm = 0;
-  void on_event(const rt::hooks::HookEvent& e) override {
+  void on_event(const rt::hooks::Event& e) override {
     const ExternalDomain* d = target.load(std::memory_order_acquire);
-    if (e.point != rt::hooks::HookPoint::kExternalSubmit || e.domain != d) {
+    if (e.id != rt::hooks::EventId::kExternalSubmit || e.domain != d) {
       return;
     }
     parked.fetch_add(1, std::memory_order_acq_rel);
@@ -633,11 +633,11 @@ struct ReArmRace final : rt::hooks::ScheduleObserver {
     while (!cond()) std::this_thread::yield();
   }
 
-  void on_event(const rt::hooks::HookEvent& e) override {
+  void on_event(const rt::hooks::Event& e) override {
     const ExternalDomain* d = target.load(std::memory_order_acquire);
     if (d == nullptr || e.domain != d) return;
-    using P = rt::hooks::HookPoint;
-    if (e.point == P::kExternalClaim) {
+    using P = rt::hooks::EventId;
+    if (e.id == P::kExternalClaim) {
       if (claims.fetch_add(1) != 0) return;  // only the first claim is held
       held_step.store(steps.load());
       if (order == Order::kUnlinkFirst) {
@@ -645,7 +645,7 @@ struct ReArmRace final : rt::hooks::ScheduleObserver {
       } else {
         wait_for([&] { return release_pump.load(); });
       }
-    } else if (e.point == P::kExternalRevoke) {
+    } else if (e.id == P::kExternalRevoke) {
       const int n = revokes.fetch_add(1);
       if (n == 0) {
         wait_for([&] { return claims.load() >= 1; });
@@ -653,7 +653,7 @@ struct ReArmRace final : rt::hooks::ScheduleObserver {
         release_pump.store(true);
         wait_for([&] { return bop_entered->load(); });
       }
-    } else if (e.point == P::kExternalSubmit) {
+    } else if (e.id == P::kExternalSubmit) {
       if (submits.fetch_add(1) == 1 && order == Order::kUnlinkFirst) {
         wait_for([&] { return steps.load() > held_step.load(); });
       }

@@ -13,9 +13,12 @@
 //   3. Injected faults (hooks::test_faults(), requires BATCHER_AUDIT): the
 //      fault matrix — throw-in-BOP, throw in a core task frame, throw
 //      inside collect, a slow launcher — swept under
-//      >= 500 perturbed schedules with the auditor and watchdog attached.
+//      >= 500 perturbed schedules with the auditor and watchdog attached;
+//      and three faults fired with a trace session open, where the ring
+//      and the observer must stay reconciled.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -34,6 +37,8 @@
 #include "runtime/api.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
+#include "trace/metrics.hpp"
+#include "trace/trace.hpp"
 
 namespace batcher {
 namespace {
@@ -43,8 +48,8 @@ using audit::AuditSession;
 using audit::InvariantAuditor;
 using audit::SchedulePerturber;
 using audit::StallWatchdog;
-using hooks::HookEvent;
-using hooks::HookPoint;
+using hooks::Event;
+using hooks::EventId;
 using rt::TaskKind;
 
 // --- 1a. Exception propagation through the runtime --------------------------
@@ -358,8 +363,8 @@ TEST(ExternalFailure, ThrowingBopRethrownAtSubmitAndDomainStaysUsable) {
 
 // --- 2. StallWatchdog vs synthetic event streams ----------------------------
 
-HookEvent pop_event(unsigned w) {
-  return {HookPoint::kPop, w, TaskKind::Batch, TaskKind::Core, nullptr, 0};
+Event pop_event(unsigned w) {
+  return {EventId::kPop, w, TaskKind::Batch, TaskKind::Core, nullptr, 0};
 }
 
 TEST(Watchdog, FlagHeldPastEventBudgetIsFlaggedWithModelDump) {
@@ -369,12 +374,12 @@ TEST(Watchdog, FlagHeldPastEventBudgetIsFlaggedWithModelDump) {
   o.trap_event_budget = 1ull << 40;
   StallWatchdog wd(4, o, &auditor);
   int dom = 0;
-  const HookEvent cas{HookPoint::kFlagCasWon, 1, TaskKind::Core,
+  const Event cas{EventId::kFlagWon, 1, TaskKind::Core,
                       TaskKind::Core, &dom};
   auditor.on_event(cas);
   wd.on_event(cas);
   for (int i = 0; i < 512; ++i) {
-    const HookEvent e = pop_event(2);
+    const Event e = pop_event(2);
     auditor.on_event(e);
     wd.on_event(e);
   }
@@ -395,10 +400,10 @@ TEST(Watchdog, ReopenedFlagIsNotFlagged) {
   o.trap_event_budget = 1ull << 40;
   StallWatchdog wd(4, o);
   int dom = 0;
-  wd.on_event({HookPoint::kFlagCasWon, 1, TaskKind::Core, TaskKind::Core,
+  wd.on_event({EventId::kFlagWon, 1, TaskKind::Core, TaskKind::Core,
                &dom});
   for (int i = 0; i < 50; ++i) wd.on_event(pop_event(2));
-  wd.on_event({HookPoint::kLaunchExit, 1, TaskKind::Batch, TaskKind::Batch,
+  wd.on_event({EventId::kLaunchExit, 1, TaskKind::Batch, TaskKind::Batch,
                &dom, 0});
   for (int i = 0; i < 512; ++i) wd.on_event(pop_event(2));
   EXPECT_FALSE(wd.stalled()) << wd.report();
@@ -410,7 +415,7 @@ TEST(Watchdog, TrappedWorkerPastEventBudgetIsFlagged) {
   o.trap_event_budget = 100;
   StallWatchdog wd(4, o);
   int dom = 0;
-  wd.on_event({HookPoint::kBatchifyEnter, 2, TaskKind::Core, TaskKind::Core,
+  wd.on_event({EventId::kOpSubmit, 2, TaskKind::Core, TaskKind::Core,
                &dom});
   for (int i = 0; i < 512; ++i) wd.on_event(pop_event(3));
   ASSERT_TRUE(wd.stalled());
@@ -424,10 +429,10 @@ TEST(Watchdog, BatchifyExitClearsTrapWatch) {
   o.trap_event_budget = 100;
   StallWatchdog wd(4, o);
   int dom = 0;
-  wd.on_event({HookPoint::kBatchifyEnter, 2, TaskKind::Core, TaskKind::Core,
+  wd.on_event({EventId::kOpSubmit, 2, TaskKind::Core, TaskKind::Core,
                &dom});
   for (int i = 0; i < 50; ++i) wd.on_event(pop_event(3));
-  wd.on_event({HookPoint::kBatchifyExit, 2, TaskKind::Core, TaskKind::Core,
+  wd.on_event({EventId::kOpResume, 2, TaskKind::Core, TaskKind::Core,
                &dom});
   for (int i = 0; i < 512; ++i) wd.on_event(pop_event(3));
   EXPECT_FALSE(wd.stalled()) << wd.report();
@@ -440,7 +445,7 @@ TEST(Watchdog, CheckNowAppliesWallBudgetToSilentStall) {
   o.wall_budget_ms = 1;
   StallWatchdog wd(4, o);
   int dom = 0;
-  wd.on_event({HookPoint::kFlagCasWon, 0, TaskKind::Core, TaskKind::Core,
+  wd.on_event({EventId::kFlagWon, 0, TaskKind::Core, TaskKind::Core,
                &dom});
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   EXPECT_FALSE(wd.stalled());  // no events flowed, no event-driven scan
@@ -659,6 +664,155 @@ TEST(InjectedFaults, FaultMatrixSweepRecoversAcrossSeeds) {
 
   // The matrix actually injected: rows 0, 1, and 3 always lose work.
   EXPECT_GE(faulted_runs, (kSeeds / 5) * 3) << faulted_runs;
+}
+
+// --- 3b. Injected faults with a trace session open --------------------------
+//
+// Two sites feed the observer and the ring differently on purpose: a core
+// task the fault kills emits no kTaskBegin at all, and skip_batch_flag_cas
+// hides kFlagWon from the observer only.  Each fault, fired with a session
+// open and the auditor attached, must leave the ring's pairing whole and the
+// ring and the observer agreeing on every other entry both of them watch.
+
+// Counts every event per entry and hands it on to an auditor.
+struct AuditedCounts final : hooks::ScheduleObserver {
+  explicit AuditedCounts(unsigned workers) : auditor(workers) {}
+  void on_event(const Event& e) override {
+    seen[static_cast<std::size_t>(e.id)].fetch_add(1,
+                                                   std::memory_order_relaxed);
+    auditor.on_event(e);
+  }
+  InvariantAuditor auditor;
+  std::array<std::atomic<std::uint64_t>, trace::kNumEvents> seen{};
+};
+
+struct TracedFaultRun {
+  explicit TracedFaultRun(unsigned workers) : observer(workers) {}
+  AuditedCounts observer;
+  trace::MetricsReport metrics;
+  std::array<std::uint64_t, trace::kNumEvents> kept{};
+  bool faulted = false;  // some op, or the storm's join, saw the fault
+  std::int64_t value = 0;
+  std::int64_t ok = 0;
+
+  std::uint64_t kept_of(EventId id) const {
+    return kept[static_cast<std::size_t>(id)];
+  }
+  std::uint64_t seen_of(EventId id) const {
+    return observer.seen[static_cast<std::size_t>(id)].load();
+  }
+};
+
+// Arms one fault, runs a 64-op counter storm on 4 workers with the session
+// open and `out.observer` installed, and drains the trace.
+void run_traced_fault(void (*arm)(hooks::TestFaults&), TracedFaultRun& out) {
+  hooks::test_faults().reset();
+  trace::TraceSession::Options opt;
+  opt.ring_capacity = 1u << 16;
+  trace::TraceSession session(opt);
+  hooks::install_observer(&out.observer);
+  arm(hooks::test_faults());
+  {
+    rt::Scheduler sched(4);
+    ds::BatchedCounter counter(sched);
+    std::atomic<std::int64_t> ok{0};
+    std::atomic<bool> faulted{false};
+    sched.run([&] {
+      try {
+        rt::parallel_for(0, 64,
+                         [&](std::int64_t) {
+                           try {
+                             counter.increment(1);
+                             ok.fetch_add(1, std::memory_order_relaxed);
+                           } catch (const hooks::InjectedFault&) {
+                             faulted.store(true, std::memory_order_relaxed);
+                           }
+                         },
+                         /*grain=*/1);
+      } catch (const hooks::InjectedFault&) {
+        faulted.store(true, std::memory_order_relaxed);
+      }
+    });
+    out.faulted = faulted.load();
+    out.value = counter.value_unsafe();
+    out.ok = ok.load();
+  }
+  hooks::install_observer(nullptr);
+  hooks::test_faults().reset();
+  const trace::Trace& tr = session.stop();
+  out.metrics = trace::build_metrics(tr);
+  for (const trace::TraceThread& t : tr.threads) {
+    for (const trace::TraceRecord& r : t.records) ++out.kept.at(r.event);
+  }
+}
+
+// The identities every traced fault run keeps.  With no record dropped,
+// kept + dropped == written reduces to: each entry both sinks watch was kept
+// as often as the observer saw it (kFlagWon is checked by the caller).
+void expect_seam_whole(const TracedFaultRun& r) {
+  EXPECT_EQ(r.metrics.dropped_records, 0u);
+  EXPECT_EQ(r.metrics.unmatched_edges, 0u);
+  EXPECT_FALSE(r.metrics.pairing_degraded);
+  EXPECT_EQ(r.kept_of(EventId::kTaskBegin), r.kept_of(EventId::kTaskEnd));
+  for (std::size_t i = 0; i < trace::kNumEvents; ++i) {
+    const auto id = static_cast<EventId>(i);
+    if (trace::kEvents[i].sinks != trace::kToBoth || id == EventId::kFlagWon) {
+      continue;
+    }
+    EXPECT_EQ(r.seen_of(id), r.kept_of(id)) << trace::kEvents[i].name;
+  }
+  EXPECT_EQ(r.value, r.ok) << "failed ops must not be applied";
+}
+
+TEST(InjectedFaultsTraced, CoreTaskFaultLeavesNoUnpairedTaskRecord) {
+  REQUIRE_LIVE_HOOKS();
+  TracedFaultRun r(4);
+  run_traced_fault(
+      [](hooks::TestFaults& f) {
+        f.throw_in_core_task.store(1, std::memory_order_relaxed);
+      },
+      r);
+  EXPECT_TRUE(r.faulted);
+  expect_seam_whole(r);
+  EXPECT_EQ(r.seen_of(EventId::kFlagWon), r.kept_of(EventId::kFlagWon));
+  EXPECT_TRUE(r.observer.auditor.clean()) << r.observer.auditor.report();
+}
+
+TEST(InjectedFaultsTraced, BopFaultKeepsRingPairingWhole) {
+  REQUIRE_LIVE_HOOKS();
+  TracedFaultRun r(4);
+  run_traced_fault(
+      [](hooks::TestFaults& f) {
+        f.throw_in_bop.store(2, std::memory_order_relaxed);
+      },
+      r);
+  EXPECT_TRUE(r.faulted);
+  EXPECT_LT(r.ok, 64);
+  expect_seam_whole(r);
+  EXPECT_EQ(r.seen_of(EventId::kFlagWon), r.kept_of(EventId::kFlagWon));
+  EXPECT_TRUE(r.observer.auditor.clean()) << r.observer.auditor.report();
+}
+
+TEST(InjectedFaultsTraced, SkippedFlagCasIsHiddenFromTheObserverOnly) {
+  REQUIRE_LIVE_HOOKS();
+  TracedFaultRun r(4);
+  run_traced_fault(
+      [](hooks::TestFaults& f) {
+        f.skip_batch_flag_cas.store(true, std::memory_order_relaxed);
+      },
+      r);
+  EXPECT_FALSE(r.faulted);
+  EXPECT_EQ(r.ok, 64);
+  expect_seam_whole(r);
+  // The observer saw no flag win; the ring saw one per flag hold.
+  EXPECT_EQ(r.seen_of(EventId::kFlagWon), 0u);
+  EXPECT_EQ(r.kept_of(EventId::kFlagWon),
+            r.kept_of(EventId::kLaunchEnter) -
+                r.kept_of(EventId::kLaunchChained));
+  EXPECT_GT(r.kept_of(EventId::kFlagWon), 0u);
+  const std::string report = r.observer.auditor.report();
+  EXPECT_NE(report.find("Invariant 1"), std::string::npos) << report;
+  EXPECT_NE(report.find("CAS was skipped"), std::string::npos) << report;
 }
 
 #endif  // BATCHER_AUDIT

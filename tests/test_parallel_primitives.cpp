@@ -62,20 +62,6 @@ TEST_P(ScanTest, BlockedMatchesSerial) {
   EXPECT_EQ(data, expected);
 }
 
-TEST_P(ScanTest, RecursiveMatchesSerial) {
-  const std::size_t n = GetParam();
-  rt::Scheduler sched(4);
-  auto data = random_values(n, 2);
-  auto expected = data;
-  std::partial_sum(expected.begin(), expected.end(), expected.begin());
-  sched.run([&] {
-    par::scan_inclusive_recursive(
-        data.data(), static_cast<std::int64_t>(n),
-        [](std::int64_t a, std::int64_t b) { return a + b; });
-  });
-  EXPECT_EQ(data, expected);
-}
-
 TEST_P(ScanTest, NonCommutativeOperator) {
   const std::size_t n = GetParam();
   if (n == 0) return;

@@ -420,15 +420,15 @@ struct BlockingStructure final : BatchedStructure {
   }
 };
 
-// Holds the first pump to reach kPumpPark on `target` — registered as parked,
-// re-scan done, not yet asleep — until `release`.
+// Holds the first pump to reach kPumpParkBegin on `target` — registered as
+// parked, re-scan done, not yet asleep — until `release`.
 struct ParkWindowHold final : rt::hooks::ScheduleObserver {
   std::atomic<const void*> target{nullptr};
   std::atomic<bool> armed{true};
   std::atomic<bool> held{false};
   std::atomic<bool> release{false};
-  void on_event(const rt::hooks::HookEvent& e) override {
-    if (e.point != rt::hooks::HookPoint::kPumpPark ||
+  void on_event(const rt::hooks::Event& e) override {
+    if (e.id != rt::hooks::EventId::kPumpParkBegin ||
         e.domain != target.load() || !armed.exchange(false)) {
       return;
     }

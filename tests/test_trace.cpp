@@ -13,11 +13,19 @@
 //      scheduler's destructor-final StatsSnapshot.
 //   4. The same reconciliation under the audit perturber across >=1100
 //      distinct seeded schedules (only with BATCHER_AUDIT hooks compiled in).
+//   5. The one event seam: the event table, and a Batcher storm and a
+//      ShardRouter run in which the observer and the ring count every entry
+//      they both watch equally often.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <memory>
+#include <set>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -28,6 +36,7 @@
 #include "runtime/api.hpp"
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
+#include "service/shard_router.hpp"
 #include "support/timing.hpp"
 #include "trace/histogram.hpp"
 #include "trace/metrics.hpp"
@@ -164,8 +173,8 @@ TEST(LatencyHistogram, PercentilesClampToTheSamplesRange) {
 TEST(TraceDisabled, EmitsOutsideASessionRecordNothing) {
   ASSERT_FALSE(trace::enabled());
   for (int i = 0; i < 1000; ++i) {
-    trace::emit(0, EventId::kTaskBegin);
-    trace::emit(0, EventId::kOpSubmit, 7);
+    trace::record(0, EventId::kTaskBegin);
+    trace::record(0, EventId::kOpSubmit, 7);
   }
   // A fresh session sees none of it: pre-session emits were dropped at the
   // enabled() check, and session start resets any ring this thread already
@@ -194,7 +203,7 @@ TEST(TraceDisabled, EmitOverheadIsNearZero) {
   Stopwatch emit_sw;
   for (std::int64_t i = 0; i < kIters; ++i) {
     if (trace::enabled()) [[unlikely]] {
-      trace::emit(0, EventId::kTaskBegin);
+      trace::record(0, EventId::kTaskBegin);
     }
     sink = sink + 1;
   }
@@ -409,6 +418,136 @@ TEST(TraceMetrics, StealToSuccessDropsStreakLeftWithoutAWin) {
     EXPECT_EQ(m.steal_to_success.min_ns(), 300u) << static_cast<int>(what);
     EXPECT_EQ(m.steal_to_success.max_ns(), 300u) << static_cast<int>(what);
   }
+}
+
+// --- 5. One event seam -------------------------------------------------------
+
+// Every entry has its own real name and reaches some consumer, and exactly
+// the eleven program points both consumers watch reach both.
+TEST(TraceSeam, EveryEntryHasOneNameAndTheTableKeepsBothStreams) {
+  EXPECT_EQ(trace::kNumEvents,
+            static_cast<std::size_t>(EventId::kPumpParkEnd) + 1);
+  std::set<std::string_view> names;
+  std::set<EventId> both;
+  for (std::size_t i = 0; i < trace::kNumEvents; ++i) {
+    const trace::EventInfo& info = trace::kEvents[i];
+    EXPECT_FALSE(info.name.empty()) << "entry " << i;
+    EXPECT_TRUE(names.insert(info.name).second)
+        << "entry " << i << " repeats the name " << info.name;
+    if (i != 0) {
+      EXPECT_NE(info.sinks, 0) << info.name << " reaches no sink";
+    }
+    if (info.sinks == trace::kToBoth) both.insert(static_cast<EventId>(i));
+  }
+  const std::set<EventId> paired = {
+      EventId::kTaskBegin,     EventId::kSteal,       EventId::kOpSubmit,
+      EventId::kAnnouncePush,  EventId::kFlagWon,     EventId::kLaunchEnter,
+      EventId::kCollected,     EventId::kLaunchExit,  EventId::kLaunchChained,
+      EventId::kOpResume,      EventId::kPumpParkBegin};
+  EXPECT_EQ(both, paired);
+}
+
+// Counts what the observer sees, per entry.
+struct CountingObserver final : hooks::ScheduleObserver {
+  std::array<std::atomic<std::uint64_t>, trace::kNumEvents> seen{};
+  void on_event(const hooks::Event& e) override {
+    seen[static_cast<std::size_t>(e.id)].fetch_add(1,
+                                                   std::memory_order_relaxed);
+  }
+};
+
+// Runs `work` with a session open and a counting observer installed, and
+// checks that every entry reaching both sinks reached each equally often.
+// Returns the ring's per-entry counts.
+template <typename Work>
+std::array<std::uint64_t, trace::kNumEvents> expect_sinks_agree(Work&& work) {
+  std::array<std::uint64_t, trace::kNumEvents> kept{};
+  CountingObserver observer;
+  trace::TraceSession::Options opt;
+  opt.ring_capacity = 1u << 18;
+  trace::TraceSession session(opt);
+  hooks::install_observer(&observer);
+  work();
+  hooks::install_observer(nullptr);
+  const trace::Trace& tr = session.stop();
+  EXPECT_EQ(tr.dropped_records(), 0u) << "ring overflowed";
+  for (const trace::TraceThread& t : tr.threads) {
+    for (const TraceRecord& r : t.records) ++kept.at(r.event);
+  }
+  for (std::size_t i = 0; i < trace::kNumEvents; ++i) {
+    if (trace::kEvents[i].sinks != trace::kToBoth) continue;
+    EXPECT_EQ(observer.seen[i].load(), kept[i]) << trace::kEvents[i].name;
+  }
+  return kept;
+}
+
+std::uint64_t count(const std::array<std::uint64_t, trace::kNumEvents>& kept,
+                    EventId id) {
+  return kept[static_cast<std::size_t>(id)];
+}
+
+TEST(TraceSeam, BatcherStormFeedsObserverAndRingAlike) {
+  REQUIRE_LIVE_HOOKS();
+  const auto kept = expect_sinks_agree([] {
+    rt::Scheduler sched(4);
+    ds::BatchedCounter counter(sched);
+    sched.run([&] {
+      rt::parallel_for(0, 2048, [&](std::int64_t) { counter.increment(1); },
+                       /*grain=*/2);
+    });
+    EXPECT_EQ(counter.value_unsafe(), 2048);
+  });
+  EXPECT_EQ(count(kept, EventId::kOpSubmit), 2048u);
+  EXPECT_GT(count(kept, EventId::kLaunchEnter), 0u);
+  EXPECT_GT(count(kept, EventId::kSteal), 0u);
+}
+
+TEST(TraceSeam, ShardRouterRunFeedsObserverAndRingAlike) {
+  REQUIRE_LIVE_HOOKS();
+  constexpr std::size_t kClients = 2;
+  constexpr std::int64_t kPerClient = 256;
+  const auto kept = expect_sinks_agree([&] {
+    rt::Scheduler sched(4);
+    std::vector<std::unique_ptr<ds::BatchedCounter>> counters;
+    std::vector<BatchedStructure*> shards;
+    for (int i = 0; i < 4; ++i) {
+      counters.push_back(std::make_unique<ds::BatchedCounter>(sched));
+      shards.push_back(counters.back().get());
+    }
+    service::ShardRouter::Options opt;
+    opt.max_threads = kClients;
+    service::ShardRouter router(sched, opt);
+    const std::size_t group = router.add_group(shards);
+    std::thread driver([&] {
+      // An idle router parks every pump but the last spinner: wait for one
+      // park, so the run covers the park event, then load it.
+      const auto give_up = std::chrono::steady_clock::now() +
+                           std::chrono::seconds(10);
+      while (router.pump_parks() == 0 &&
+             std::chrono::steady_clock::now() < give_up) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      std::vector<std::thread> clients;
+      for (std::size_t t = 0; t < kClients; ++t) {
+        clients.emplace_back([&, t] {
+          for (std::int64_t i = 0; i < kPerClient; ++i) {
+            ds::BatchedCounter::Op op;
+            op.delta = 1;
+            router.submit(group, i, t, op);
+          }
+        });
+      }
+      for (auto& c : clients) c.join();
+      router.shutdown();
+    });
+    sched.run([&] { router.serve(); });
+    driver.join();
+    std::int64_t sum = 0;
+    for (const auto& c : counters) sum += c->value_unsafe();
+    EXPECT_EQ(sum, static_cast<std::int64_t>(kClients * kPerClient));
+  });
+  EXPECT_GT(count(kept, EventId::kTaskBegin), 0u);
+  EXPECT_GT(count(kept, EventId::kPumpParkBegin), 0u);
 }
 
 }  // namespace
