@@ -4,13 +4,12 @@
 // Track layout:
 //   * one track per traced thread (tid = registration serial), named
 //     "worker-<id>" — or "external-tid-<serial>" for non-worker submitters —
-//     carrying task slices ("task:core"/"task:batch"), batchify wait slices
-//     ("op wait d<N>"), flag-held slices, park slices, and steal-hit
-//     instants;
+//     carrying the B/E slices of the windows kWindows (event.hpp) puts on a
+//     worker track, and instants (steal hits, slab refills, chained
+//     launches, op timeouts and sheds, worker start/exit);
 //   * one track per batching domain (tid = 1000000 + domain id), named
-//     "batcher d<N>", carrying a "batch[k]" slice per launch with nested
-//     collect/run/complete phase slices.  Invariant 1 (one launch at a time
-//     per domain) is what makes a single track per domain well-formed;
+//     "batcher d<N>", carrying a "batch[k]" slice per launch with its
+//     collect/run/complete phases nested inside it;
 //   * counter tracks ("C" events): "pending d<N>" — each domain's in-flight
 //     op depth (+1 at kOpSubmit, -batch at kCollected, -1 at kOpTimeout) —
 //     and "workers working", the number of threads inside a task slice.
@@ -19,9 +18,9 @@
 // The process is named "batcher" via process_name metadata.
 //
 // Timestamps are microseconds relative to the session start, with nanosecond
-// fractions preserved.  Unbalanced begin/end pairs (possible when the ring
-// dropped records) are sanitized: stray ends are skipped and dangling begins
-// are closed at the session end, so the file always loads.
+// fractions preserved.  Slices come from the one pairing replay
+// (replay.hpp), so every B has its E even when the ring dropped records: a
+// slice whose end never came closes at the session end.
 #pragma once
 
 #include <string>
@@ -30,18 +29,10 @@
 
 namespace batcher::trace {
 
-struct ChromeTraceOptions {
-  // Failed steal attempts can dominate record counts; by default only hits
-  // are rendered as instants (misses are still in the metrics).
-  bool include_steal_misses = false;
-};
-
-std::string chrome_trace_json(const Trace& trace,
-                              ChromeTraceOptions options = {});
+std::string chrome_trace_json(const Trace& trace);
 
 // Writes chrome_trace_json to `path`.  Returns false (and leaves no partial
 // file behind) if the file cannot be written.
-bool write_chrome_trace(const Trace& trace, const std::string& path,
-                        ChromeTraceOptions options = {});
+bool write_chrome_trace(const Trace& trace, const std::string& path);
 
 }  // namespace batcher::trace

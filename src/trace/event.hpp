@@ -168,4 +168,77 @@ constexpr const EventInfo& event_info(EventId id) {
   return kEvents[static_cast<std::size_t>(id)];
 }
 
+// ---------------------------------------------------------------------------
+// Windows: the begin/end pairs the trace readers measure.  Each row names the
+// entry that opens the window and the entry that closes it, the worker-time
+// bucket it is charged to (metrics.hpp), the MetricsReport histogram its
+// lengths feed, and where the Chrome export draws it.  build_metrics and
+// chrome_trace_json read every pairing from this one list through one
+// per-thread replay (replay.hpp).  A row that shares an edge with another
+// comes after the window it nests in: a record closes its windows innermost
+// first and then opens its windows outermost first.
+
+// Where a worker's time inside the window goes (kNone: the enclosing one's).
+enum class Bucket : std::uint8_t {
+  kNone, kUseful, kSteal, kTrapped, kFlagWait, kParked
+};
+// MetricsReport's histogram of the window's lengths.
+enum class Hist : std::uint8_t {
+  kNone, kOpLatency, kFlagHeld, kCollect, kRun, kComplete
+};
+// Chrome track: the emitting thread's (B/E slices) or the domain's (X
+// slices inside the launch's batch[n] parent).  Suffix says what follows the
+// slice label: the task kind, or the domain of the opening record.
+enum class Track : std::uint8_t { kNone, kWorker, kDomain };
+enum class Suffix : std::uint8_t { kNone, kKind, kDomain };
+
+// X(window, opener, closer, bucket, hist, track, label, suffix)
+#define BATCHER_WINDOWS(X)                                                    \
+  X(kTask, kTaskBegin, kTaskEnd, kUseful, kNone, kWorker, "task:", kKind)     \
+  X(kJoinWait, kJoinWaitBegin, kJoinWaitEnd, kSteal, kNone, kNone, "", kNone) \
+  X(kOpWait, kOpSubmit, kOpResume, kTrapped, kOpLatency, kWorker, "op wait ", \
+    kDomain)                                                                  \
+  X(kFlagHeld, kFlagWon, kFlagReopen, kFlagWait, kFlagHeld, kWorker,          \
+    "flag held ", kDomain)                                                    \
+  /* LAUNCHBATCH and its three phases.  kLaunchExit also ends a collect or  \
+     run phase a failed or empty launch leaves open, without a sample; an   \
+     empty batch's run window charges no bucket (it runs no BOP). */        \
+  X(kLaunch, kLaunchEnter, kLaunchExit, kNone, kNone, kDomain, "batch", kNone) \
+  X(kCollect, kLaunchEnter, kCollected, kNone, kCollect, kDomain, "collect",  \
+    kNone)                                                                    \
+  X(kRun, kCollected, kBopDone, kUseful, kRun, kDomain, "run", kNone)         \
+  X(kComplete, kBopDone, kLaunchExit, kNone, kComplete, kDomain, "complete",  \
+    kNone)                                                                    \
+  X(kPark, kParkBegin, kParkEnd, kParked, kNone, kWorker, "parked", kNone)    \
+  X(kPumpPark, kPumpParkBegin, kPumpParkEnd, kParked, kNone, kWorker,         \
+    "pump parked", kNone)
+
+#define BATCHER_WINDOW_ID(w, open, close, bucket, hist, track, label, suffix) w,
+enum class Window : std::uint8_t { BATCHER_WINDOWS(BATCHER_WINDOW_ID) };
+#undef BATCHER_WINDOW_ID
+
+struct WindowInfo {
+  EventId opener;
+  EventId closer;
+  Bucket bucket;
+  Hist hist;
+  Track track;
+  std::string_view label;
+  Suffix suffix;
+};
+
+#define BATCHER_WINDOW_INFO(w, open, close, bucket, hist, track, label, \
+                            suffix)                                     \
+  {EventId::open,  EventId::close, Bucket::bucket, Hist::hist,          \
+   Track::track,   label,          Suffix::suffix},
+inline constexpr WindowInfo kWindows[] = {BATCHER_WINDOWS(BATCHER_WINDOW_INFO)};
+#undef BATCHER_WINDOW_INFO
+#undef BATCHER_WINDOWS
+
+inline constexpr std::size_t kNumWindows = std::size(kWindows);
+
+constexpr const WindowInfo& window_info(Window w) {
+  return kWindows[static_cast<std::size_t>(w)];
+}
+
 }  // namespace batcher::trace

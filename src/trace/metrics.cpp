@@ -1,164 +1,125 @@
 #include "trace/metrics.hpp"
 
-#include <algorithm>
+#include <array>
 #include <cstdio>
+
+#include "trace/replay.hpp"
 
 namespace batcher::trace {
 
 namespace {
 
-// Per-thread pairing state while replaying a record stream.
-struct ThreadPairing {
-  std::uint64_t op_submit_ts = 0;
-  bool op_open = false;
-  std::uint64_t flag_ts = 0;
-  bool flag_open = false;
-  std::uint64_t launch_ts = 0;
-  bool launch_open = false;  // kLaunchEnter seen, awaiting kCollected
-  std::uint64_t collected_ts = 0;
-  bool bop_open = false;  // kCollected seen, awaiting kBopDone
-  std::uint64_t bop_ts = 0;
-  bool complete_open = false;  // kBopDone seen, awaiting kLaunchExit
-  std::uint64_t steal_streak_ts = 0;
-  bool steal_streak_open = false;
-
-  std::uint64_t open_edges() const {
-    return static_cast<std::uint64_t>(op_open) + flag_open + launch_open +
-           bop_open + complete_open;
-  }
-};
-
 std::uint64_t delta(std::uint64_t from, std::uint64_t to) {
   return to >= from ? to - from : 0;
 }
 
-// Attribution state machine: the innermost open window decides the bucket.
-enum class Bucket : std::uint8_t { Steal, Useful, Trapped, FlagWait, Parked };
-
-struct BucketFrame {
-  Bucket bucket;
-  EventId opened_by;
+// Indexed by Hist and Bucket; a worker outside every bucketed window is in
+// the scheduling loop, so Bucket::kNone charges steal.
+constexpr LatencyHistogram MetricsReport::*kHistograms[] = {
+    nullptr,
+    &MetricsReport::op_latency,
+    &MetricsReport::flag_held,
+    &MetricsReport::collect_phase,
+    &MetricsReport::run_phase,
+    &MetricsReport::complete_phase,
+};
+using Attribution = MetricsReport::Attribution;
+constexpr std::uint64_t Attribution::*kBucketCells[] = {
+    &Attribution::steal_ns,   &Attribution::useful_ns,
+    &Attribution::steal_ns,   &Attribution::trapped_ns,
+    &Attribution::flag_wait_ns, &Attribution::parked_ns,
 };
 
-// Decomposes one worker thread's records into the five attribution buckets.
-// Clamping every timestamp into [t0, t1] keeps the partition exact even if a
-// record carries a timestamp from just outside the session window.
-struct AttributionReplay {
-  MetricsReport::Attribution& a;
+// MetricsReport fields that count one entry each.
+constexpr struct {
+  EventId id;
+  std::uint64_t MetricsReport::*field;
+} kCounts[] = {
+    {EventId::kOpSubmit, &MetricsReport::ops_submitted},
+    {EventId::kLaunchEnter, &MetricsReport::batches},
+    {EventId::kFrameSlabRefill, &MetricsReport::frame_slab_refills},
+    {EventId::kFrameRemoteFree, &MetricsReport::frame_remote_frees},
+    {EventId::kAnnouncePush, &MetricsReport::announce_pushes},
+    {EventId::kLaunchChained, &MetricsReport::chained_launches},
+    {EventId::kFlagCasFail, &MetricsReport::flag_cas_failures},
+    {EventId::kOpTimeout, &MetricsReport::ops_timed_out},
+    {EventId::kOpShed, &MetricsReport::ops_shed},
+};
+
+// One thread's share of the report, fed by its WindowReplay.
+struct ThreadMetrics {
+  MetricsReport& m;
   std::uint64_t t0;
   std::uint64_t t1;
-  std::vector<BucketFrame> stack;
   std::uint64_t cursor;
-  bool closed = false;
-  bool degraded = false;
+  bool attributing;  // a worker thread, before its kWorkerExit
+  WindowReplay replay;
+  std::uint64_t streak_ts = 0;
+  bool streak_open = false;
 
-  AttributionReplay(MetricsReport::Attribution& attribution, std::uint64_t t0_ns,
-                    std::uint64_t t1_ns, std::uint64_t window_start)
-      : a(attribution), t0(t0_ns), t1(t1_ns), cursor(clamp(window_start)) {}
-
+  // Charges the time since the last record to the innermost bucket.
+  // Clamping every timestamp into [t0, t1] keeps the partition exact even if
+  // a record carries a timestamp from just outside the session window.
   std::uint64_t clamp(std::uint64_t ts) const {
     return ts < t0 ? t0 : (ts > t1 ? t1 : ts);
   }
-
-  std::uint64_t& cell(Bucket b) {
-    switch (b) {
-      case Bucket::Useful: return a.useful_ns;
-      case Bucket::Trapped: return a.trapped_ns;
-      case Bucket::FlagWait: return a.flag_wait_ns;
-      case Bucket::Parked: return a.parked_ns;
-      case Bucket::Steal: break;
-    }
-    return a.steal_ns;
-  }
-
   void advance_to(std::uint64_t ts) {
     ts = clamp(ts);
     const std::uint64_t d = delta(cursor, ts);
     cursor = ts;
     if (d == 0) return;
-    cell(stack.empty() ? Bucket::Steal : stack.back().bucket) += d;
-    a.attributed_ns += d;
+    m.attribution.*kBucketCells[static_cast<std::size_t>(replay.bucket())] +=
+        d;
+    m.attribution.attributed_ns += d;
   }
 
-  void push(Bucket b, EventId by) { stack.push_back({b, by}); }
+  void opened(const OpenWindow&) {}
 
-  // Pops the topmost frame opened by `by`.  A required pop that finds
-  // nothing means a drop ate the opening record.
-  void pop(EventId by, bool required) {
-    for (std::size_t i = stack.size(); i > 0; --i) {
-      if (stack[i - 1].opened_by == by) {
-        if (i != stack.size()) degraded = true;  // drop stranded inner frames
-        stack.resize(i - 1);
-        return;
-      }
+  // A histogram window that ends without its closer is an unmatched edge.
+  // Only a stranded one degrades the pairing: one left open at the end just
+  // means the session stopped mid-slice.
+  void closed(const OpenWindow& w, const TraceRecord* closer, End how) {
+    const Hist hist = window_info(w.window).hist;
+    if (hist != Hist::kNone && how == End::kPaired) {
+      (m.*kHistograms[static_cast<std::size_t>(hist)])
+          .add(delta(w.open.ts_ns, closer->ts_ns));
+    } else if (hist != Hist::kNone && how != End::kEnded) {
+      ++m.unmatched_edges;
     }
-    if (required) degraded = true;
-  }
-
-  void on_record(const TraceRecord& r) {
-    if (closed) return;
-    advance_to(r.ts_ns);
-    switch (static_cast<EventId>(r.event)) {
-      case EventId::kTaskBegin:
-        push(Bucket::Useful, EventId::kTaskBegin);
-        break;
-      case EventId::kTaskEnd:
-        pop(EventId::kTaskBegin, /*required=*/true);
-        break;
-      case EventId::kJoinWaitBegin:
-        push(Bucket::Steal, EventId::kJoinWaitBegin);
-        break;
-      case EventId::kJoinWaitEnd:
-        pop(EventId::kJoinWaitBegin, /*required=*/true);
-        break;
-      case EventId::kOpSubmit:
-        push(Bucket::Trapped, EventId::kOpSubmit);
-        break;
-      case EventId::kOpResume:
-        pop(EventId::kOpSubmit, /*required=*/true);
-        break;
-      case EventId::kFlagWon:
-        push(Bucket::FlagWait, EventId::kFlagWon);
-        break;
-      case EventId::kFlagReopen:
-        pop(EventId::kFlagWon, /*required=*/true);
-        break;
-      case EventId::kCollected:
-        // Empty batches skip the BOP entirely: no useful window to open.
-        if (r.a32 > 0) push(Bucket::Useful, EventId::kCollected);
-        break;
-      case EventId::kBopDone:
-        pop(EventId::kCollected, /*required=*/true);
-        break;
-      case EventId::kLaunchExit:
-        // A failed launch never reaches kBopDone; close its BOP window here.
-        // Clean launches already popped it, so this pop is best-effort.
-        pop(EventId::kCollected, /*required=*/false);
-        break;
-      case EventId::kParkBegin:
-        push(Bucket::Parked, EventId::kParkBegin);
-        break;
-      case EventId::kParkEnd:
-        pop(EventId::kParkBegin, /*required=*/true);
-        break;
-      case EventId::kPumpParkBegin:
-        push(Bucket::Parked, EventId::kPumpParkBegin);
-        break;
-      case EventId::kPumpParkEnd:
-        pop(EventId::kPumpParkBegin, /*required=*/true);
-        break;
-      case EventId::kWorkerExit:
-        closed = true;  // window ends here, not at t1
-        break;
-      default:
-        break;  // counting events carry no attribution state
+    if (how == End::kStranded && attributing &&
+        bucket_of(w) != Bucket::kNone) {
+      m.pairing_degraded = true;
     }
   }
 
-  // A session stop mid-slice legitimately leaves frames open (charged to
-  // their bucket up to t1); only pop mismatches mark the replay degraded.
-  void finish() {
-    if (!closed) advance_to(t1);
+  // kLaunchExit also ends failed and empty launches, which have no complete
+  // phase, so a missing one there is no stranded edge.
+  void orphan(Window w, const TraceRecord&) {
+    const WindowInfo& info = window_info(w);
+    if (info.hist != Hist::kNone && info.closer != EventId::kLaunchExit) {
+      ++m.unmatched_edges;
+    }
+    if (attributing && info.bucket != Bucket::kNone) m.pairing_degraded = true;
+  }
+
+  // steal_to_success: one sample per search, from its first miss to the
+  // steal that won.  A streak the worker leaves without a win (it starts a
+  // task of its own, resumes from batchify, or parks) is dropped.  (A won
+  // steal closed the streak before its task began.)
+  void on_steal(const TraceRecord& r) {
+    if ((r.a16 & kStealKindBatch) != 0) {
+      ++m.steal_attempts_batch;
+    } else {
+      ++m.steal_attempts_core;
+    }
+    if ((r.a16 & kStealSuccess) != 0) {
+      ++m.steals_won;
+      m.steal_to_success.add(streak_open ? delta(streak_ts, r.ts_ns) : 0);
+      streak_open = false;
+    } else if (!streak_open) {
+      streak_open = true;
+      streak_ts = r.ts_ns;
+    }
   }
 };
 
@@ -170,7 +131,7 @@ MetricsReport build_metrics(const Trace& trace) {
   m.dropped_records = trace.dropped_records();
   m.wall_seconds = trace.wall_seconds();
   if (m.dropped_records > 0) {
-    // Overwritten ring records strand pairing edges and attribution frames;
+    // Overwritten ring records strand pairing edges and attribution windows;
     // downstream consumers see pairing_degraded, but say it loudly too.
     std::fprintf(stderr,
                  "[trace] warning: %llu trace records dropped (ring "
@@ -180,161 +141,57 @@ MetricsReport build_metrics(const Trace& trace) {
     m.pairing_degraded = true;
   }
 
+  std::array<std::uint64_t, kNumEvents> count{};
   for (const TraceThread& thread : trace.threads) {
-    ThreadPairing p;
     const bool is_worker = thread.worker_id != kNoWorkerId;
-    // Worker threads that started before the session have no kWorkerStart
-    // record; their accountable window opens at t0.
+    if (is_worker) ++m.attribution.worker_threads;
+    // A worker's accountable window is [kWorkerStart, kWorkerExit] clamped
+    // to [t0, t1]; one that started before the session has no kWorkerStart
+    // record, so its window opens at t0.
     std::uint64_t window_start = trace.t0_ns;
     if (!thread.records.empty() &&
         static_cast<EventId>(thread.records.front().event) ==
             EventId::kWorkerStart) {
       window_start = thread.records.front().ts_ns;
     }
-    AttributionReplay attr(m.attribution, trace.t0_ns, trace.t1_ns,
-                           window_start);
-    if (is_worker) ++m.attribution.worker_threads;
+    ThreadMetrics t{m, trace.t0_ns, trace.t1_ns, 0, is_worker, {}};
+    t.cursor = t.clamp(window_start);
     for (const TraceRecord& r : thread.records) {
-      if (is_worker) attr.on_record(r);
+      if (t.attributing) t.advance_to(r.ts_ns);
+      t.replay.step(r, t);
+      if (r.event < kNumEvents) ++count[r.event];
       switch (static_cast<EventId>(r.event)) {
         case EventId::kTaskBegin:
-          // Slices are an export concern; counts come from kTaskEnd.  A task
-          // the worker did not just steal is its own work: the search it was
-          // on ended without a steal, so drop the open streak.  (A won steal
-          // closed the streak before its task began.)
-          p.steal_streak_open = false;
+        case EventId::kOpResume:
+        case EventId::kParkBegin:
+          t.streak_open = false;
           break;
         case EventId::kTaskEnd:
-          if (r.a16 == 0) {
-            ++m.tasks_core;
-          } else {
-            ++m.tasks_batch;
-          }
+          ++(r.a16 == 0 ? m.tasks_core : m.tasks_batch);
           break;
-        case EventId::kSteal: {
-          const bool batch = (r.a16 & kStealKindBatch) != 0;
-          const bool hit = (r.a16 & kStealSuccess) != 0;
-          if (batch) {
-            ++m.steal_attempts_batch;
-          } else {
-            ++m.steal_attempts_core;
-          }
-          if (hit) {
-            ++m.steals_won;
-            m.steal_to_success.add(
-                p.steal_streak_open ? delta(p.steal_streak_ts, r.ts_ns) : 0);
-            p.steal_streak_open = false;
-          } else if (!p.steal_streak_open) {
-            p.steal_streak_open = true;
-            p.steal_streak_ts = r.ts_ns;
-          }
-          break;
-        }
-        case EventId::kOpSubmit:
-          ++m.ops_submitted;
-          m.unmatched_edges += p.op_open;  // a drop ate the matching resume
-          p.op_open = true;
-          p.op_submit_ts = r.ts_ns;
-          break;
-        case EventId::kOpResume:
-          p.steal_streak_open = false;  // the trapped wait's search is over
-          if (p.op_open) {
-            m.op_latency.add(delta(p.op_submit_ts, r.ts_ns));
-            p.op_open = false;
-          } else {
-            ++m.unmatched_edges;
-          }
-          break;
-        case EventId::kFlagWon:
-          m.unmatched_edges += p.flag_open;
-          p.flag_open = true;
-          p.flag_ts = r.ts_ns;
-          break;
-        case EventId::kLaunchEnter:
-          ++m.batches;
-          m.unmatched_edges += p.launch_open + p.bop_open + p.complete_open;
-          p.launch_open = true;
-          p.bop_open = p.complete_open = false;
-          p.launch_ts = r.ts_ns;
+        case EventId::kSteal:
+          t.on_steal(r);
           break;
         case EventId::kCollected:
           if (r.a32 >= m.batch_size_hist.size()) {
             m.batch_size_hist.resize(r.a32 + 1, 0);
           }
           ++m.batch_size_hist[r.a32];
-          if (r.a32 == 0) ++m.empty_batches;
-          if (p.launch_open) {
-            m.collect_phase.add(delta(p.launch_ts, r.ts_ns));
-            p.launch_open = false;
-          } else {
-            ++m.unmatched_edges;
-          }
-          p.bop_open = true;
-          p.collected_ts = r.ts_ns;
           break;
-        case EventId::kBopDone:
-          if (p.bop_open) {
-            m.run_phase.add(delta(p.collected_ts, r.ts_ns));
-            p.bop_open = false;
-          } else {
-            ++m.unmatched_edges;
-          }
-          p.complete_open = true;
-          p.bop_ts = r.ts_ns;
-          break;
-        case EventId::kLaunchExit:
-          if (p.complete_open) {
-            m.complete_phase.add(delta(p.bop_ts, r.ts_ns));
-            p.complete_open = false;
-          }
-          // Empty or failed launches never reach kBopDone; their open
-          // collect-side edge simply closes with the launch.  The flag edge
-          // stays open: a chained launch keeps the flag held past this exit,
-          // and kFlagReopen closes it (once per chain).
-          p.launch_open = p.bop_open = false;
-          break;
-        case EventId::kFlagReopen:
-          if (p.flag_open) {
-            m.flag_held.add(delta(p.flag_ts, r.ts_ns));
-            p.flag_open = false;
-          } else {
-            ++m.unmatched_edges;
-          }
-          break;
-        case EventId::kLaunchChained:
-          ++m.chained_launches;
-          break;
-        case EventId::kAnnouncePush:
-          ++m.announce_pushes;
-          break;
-        case EventId::kFlagCasFail:
-          ++m.flag_cas_failures;
-          break;
-        case EventId::kFrameSlabRefill:
-          ++m.frame_slab_refills;
-          break;
-        case EventId::kFrameRemoteFree:
-          ++m.frame_remote_frees;
-          break;
-        case EventId::kOpTimeout:
-          ++m.ops_timed_out;
-          break;
-        case EventId::kOpShed:
-          ++m.ops_shed;
-          break;
-        case EventId::kParkBegin:
-          p.steal_streak_open = false;  // a parked worker is not searching
+        case EventId::kWorkerExit:
+          t.attributing = false;  // the window ends here, not at t1
           break;
         default:
-          break;  // attribution events, consumed by AttributionReplay above
+          break;
       }
     }
-    m.unmatched_edges += p.open_edges();
-    if (is_worker) {
-      attr.finish();
-      if (attr.degraded) m.pairing_degraded = true;
-    }
+    if (t.attributing) t.advance_to(trace.t1_ns);
+    t.replay.finish(t);
   }
+  for (const auto& [id, field] : kCounts) {
+    m.*field = count[static_cast<std::size_t>(id)];
+  }
+  m.empty_batches = m.batch_size_hist.empty() ? 0 : m.batch_size_hist[0];
   return m;
 }
 

@@ -1,47 +1,23 @@
 // Aggregate metrics derived from a drained trace.
 //
-// build_metrics replays each thread's (timestamp-monotonic) record stream
-// and pairs the protocol edges into the latency distributions Theorem 1
-// charges cost to:
+// build_metrics replays each thread's records through the one pairing replay
+// (replay.hpp) over the windows of kWindows (event.hpp), which says per
+// window which histogram its lengths feed and which bucket its time is
+// charged to.  steal_to_success is no window: it runs from the first miss of
+// a steal streak to the steal that succeeded, and a streak the worker leaves
+// without a won steal (it starts a task of its own, resumes from batchify,
+// or parks) is dropped, so every sample is one search.  Records lost to ring
+// overflow can strand a window or orphan a closer; those are counted in
+// unmatched_edges rather than silently skewing a histogram.
 //
-//   op_latency       kOpSubmit -> kOpResume       (batchify round trip)
-//   flag_held        kFlagWon  -> kFlagReopen     (batch flag held; spans a
-//                                                  whole chain of launches)
-//   collect_phase    kLaunchEnter -> kCollected   (LAUNCHBATCH step 1-2)
-//   run_phase        kCollected -> kBopDone       (the BOP itself)
-//   complete_phase   kBopDone -> kLaunchExit      (status flips + reopen)
-//   steal_to_success first miss of a streak -> the steal that succeeded;
-//                    a streak the worker leaves without a won steal (it
-//                    starts a task of its own, resumes from batchify, or
-//                    parks) is dropped, so every sample is one search
-//
-// All pairings are per-thread and rely on protocol shape, not luck: batchify
-// never nests (a batch dag may not call batchify), and a worker holds at
-// most one batch flag at a time (it only CASes the domain it is trapped on),
-// so a simple "last open edge" per thread is exact.  Records lost to ring
-// overflow can strand an open edge; those are counted in unmatched_edges
-// rather than silently skewing a histogram.
-//
-// build_metrics additionally decomposes every *worker* thread's accountable
-// window — [kWorkerStart, kWorkerExit], clamped to [t0, t1] — into five
-// buckets that partition it exactly (worker_attribution):
-//
-//   useful     inside a task (kTaskBegin..kTaskEnd) or a BOP run
-//              (kCollected..kBopDone on the launcher)
-//   steal      the main scheduling loop and join waits (kJoinWaitBegin..End):
-//              steal attempts, deque probes, backoff
-//   trapped    the batchify trapped loop (kOpSubmit..kOpResume) net of the
-//              nested buckets above
-//   flag_wait  holding the batch flag (kFlagWon..kFlagReopen) net of nested
-//              buckets: collect, complete, chain management
-//   parked     between runs (kParkBegin..kParkEnd), and a router pump task
-//              asleep on its parking gate (kPumpParkBegin..kPumpParkEnd)
-//
-// The decomposition is a per-thread state stack (innermost event wins), so
+// Every *worker* thread's accountable window — [kWorkerStart, kWorkerExit],
+// clamped to [t0, t1] — is split into five buckets (worker_attribution) by
+// the innermost open window that has one; outside all of them a worker is in
+// its scheduling loop, which is charged to steal.  So
 //   useful + steal + trapped + flag_wait + parked == attributed_ns
 // holds exactly, and attributed_ns <= worker_threads * wall by construction
 // — the online bound ledger (bound_ledger.hpp) is validated against these.
-// Dropped records can strand the stack; `pairing_degraded` says so.
+// Dropped records can strand the replay; `pairing_degraded` says so.
 //
 // The derived quantities at the bottom are the paper's: measured batch-size
 // distribution (checked against Invariant 2's P bound by callers that know

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 
 #include "sim/cost_model.hpp"
 #include "sim/dag.hpp"
@@ -19,6 +20,9 @@ struct Scenario {
   std::int64_t structure_size;
   unsigned workers;
 };
+
+// Test names show the scenario's name, not its bytes (which hold a pointer).
+void PrintTo(const Scenario& sc, std::ostream* os) { *os << sc.name; }
 
 class LemmaTest : public ::testing::TestWithParam<Scenario> {};
 

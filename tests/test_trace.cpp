@@ -1,6 +1,6 @@
 // Tests for the always-on tracing layer (src/trace).
 //
-// Four layers:
+// Six layers:
 //   1. TraceRing in isolation: wraparound keeps the newest records with an
 //      exact dropped count, and a drain racing the writer never yields a torn
 //      or out-of-order record (the seqlock re-check contract).
@@ -13,7 +13,10 @@
 //      scheduler's destructor-final StatsSnapshot.
 //   4. The same reconciliation under the audit perturber across >=1100
 //      distinct seeded schedules (only with BATCHER_AUDIT hooks compiled in).
-//   5. The one event seam: the event table, and a Batcher storm and a
+//   5. The readers' one window table: golden MetricsReport and Chrome output
+//      on synthetic traces (trace_reader_cases.hpp), and every ring-bound
+//      entry is a window edge or shows in a reader.
+//   6. The one event seam: the event table, and a Batcher storm and a
 //      ShardRouter run in which the observer and the ring count every entry
 //      they both watch equally often.
 #include <gtest/gtest.h>
@@ -25,6 +28,7 @@
 #include <cstdint>
 #include <memory>
 #include <set>
+#include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
@@ -37,11 +41,14 @@
 #include "runtime/schedule_hooks.hpp"
 #include "runtime/scheduler.hpp"
 #include "service/shard_router.hpp"
+#include "support/json.hpp"
 #include "support/timing.hpp"
+#include "trace/chrome_trace.hpp"
 #include "trace/histogram.hpp"
 #include "trace/metrics.hpp"
 #include "trace/trace.hpp"
 #include "trace/trace_ring.hpp"
+#include "trace_reader_cases.hpp"
 
 namespace batcher {
 namespace {
@@ -420,7 +427,78 @@ TEST(TraceMetrics, StealToSuccessDropsStreakLeftWithoutAWin) {
   }
 }
 
-// --- 5. One event seam -------------------------------------------------------
+// --- 5. The readers' one window table ---------------------------------------
+
+struct GoldenCase {
+  const char* name;
+  const char* metrics;  // MetricsReport::to_json
+  const char* chrome;   // canonical_chrome_events(chrome_trace_json)
+};
+const GoldenCase kGolden[] = {
+#include "trace_reader_golden.inc"
+};
+
+// build_metrics and chrome_trace_json read every pairing through one replay
+// of kWindows; on each synthetic trace their output is what the readers
+// produced before (the Chrome export compared as a multiset of events).
+TEST(TraceReaders, GoldenOutputsOnEveryCase) {
+  const auto cases = trace_cases::reader_cases();
+  ASSERT_EQ(cases.size(), std::size(kGolden));
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const auto& [name, tr] = cases[i];
+    ASSERT_EQ(name, kGolden[i].name);
+    json::Writer w;
+    trace::build_metrics(tr).to_json(w);
+    EXPECT_EQ(w.str(), kGolden[i].metrics) << name;
+    const std::string chrome = trace::chrome_trace_json(tr);
+    EXPECT_EQ(trace_cases::canonical_chrome_events(chrome), kGolden[i].chrome)
+        << name;
+  }
+}
+
+bool is_window_edge(EventId e) {
+  for (const trace::WindowInfo& w : trace::kWindows) {
+    if (w.opener == e || w.closer == e) return true;
+  }
+  return false;
+}
+
+// A window the ring never sees could never be measured.
+TEST(TraceReaders, EveryWindowEdgeReachesTheRing) {
+  for (const trace::WindowInfo& w : trace::kWindows) {
+    for (const EventId e : {w.opener, w.closer}) {
+      EXPECT_NE(trace::event_info(e).sinks & trace::kToRing, 0)
+          << trace::event_info(e).name;
+    }
+  }
+}
+
+// Every ring-bound entry is a window edge, or a record of it alone changes
+// what the readers output (a counted event or a Chrome instant), so a new
+// ring entry cannot fall silently into a reader's default.  Observer-only
+// entries never reach a ring, and the readers ignore them.
+TEST(TraceReaders, EveryRingEntryIsAWindowEdgeOrShows) {
+  auto outputs = [](EventId e) {
+    const trace::Trace t = trace_cases::session({trace_cases::thread(
+        1, 0, {trace_cases::rec(2000, e, trace::kStealSuccess, 1)})});
+    json::Writer w;
+    trace::build_metrics(t).to_json(w);
+    return w.str() + trace::chrome_trace_json(t);
+  };
+  const std::string none = outputs(EventId::kNone);
+  for (std::size_t i = 1; i < trace::kNumEvents; ++i) {
+    const auto e = static_cast<EventId>(i);
+    const trace::EventInfo& info = trace::event_info(e);
+    if ((info.sinks & trace::kToRing) == 0) {
+      EXPECT_FALSE(is_window_edge(e)) << info.name;
+      EXPECT_EQ(outputs(e), none) << info.name;
+    } else if (!is_window_edge(e)) {
+      EXPECT_NE(outputs(e), none) << info.name << " shows in no reader";
+    }
+  }
+}
+
+// --- 6. One event seam -----------------------------------------------------
 
 // Every entry has its own real name and reaches some consumer, and exactly
 // the eleven program points both consumers watch reach both.
