@@ -9,16 +9,6 @@ using rt::TaskKind;
 
 namespace {
 
-const char* status_name(int s) {
-  switch (s) {
-    case 0: return "free";
-    case 1: return "pending";
-    case 2: return "executing";
-    case 3: return "done";
-    default: return "?";
-  }
-}
-
 const char* kind_name(TaskKind k) {
   return k == TaskKind::Core ? "core" : "batch";
 }
@@ -34,7 +24,7 @@ InvariantAuditor::DomainState& InvariantAuditor::domain_state(
   if (inserted) {
     it->second.flag_holder = hooks::kNoWorker;
     it->second.last_launcher = hooks::kNoWorker;
-    it->second.status.assign(workers_.size(), Status::Free);
+    it->second.status.assign(workers_.size(), OpStatus::Free);
   }
   return it->second;
 }
@@ -45,7 +35,7 @@ InvariantAuditor::WorkerState& InvariantAuditor::worker_state(unsigned worker) {
     workers_.resize(worker + 1);
     for (auto& [ptr, dom] : domains_) {
       (void)ptr;
-      dom.status.resize(workers_.size(), Status::Free);
+      dom.status.resize(workers_.size(), OpStatus::Free);
     }
   }
   return workers_[worker];
@@ -64,27 +54,24 @@ void InvariantAuditor::violate(const rt::hooks::Event& event,
 }
 
 void InvariantAuditor::check_status_edge(const rt::hooks::Event& event,
-                                         Status from, Status to) {
+                                         const EdgeRow& edge) {
   DomainState& dom = domain_state(event.domain);
   worker_state(event.worker);  // ensure dom.status covers event.worker
-  Status& cur = dom.status[event.worker];
-  if (cur != from) {
+  OpStatus& cur = dom.status[event.worker];
+  if (cur != edge.from) {
     std::ostringstream os;
-    os << "worker " << event.worker << " moved "
-       << status_name(static_cast<int>(cur)) << "->"
-       << status_name(static_cast<int>(to)) << " but the only legal source of "
-       << status_name(static_cast<int>(to)) << " is "
-       << status_name(static_cast<int>(from));
+    os << "worker " << event.worker << " moved " << status_name(cur) << "->"
+       << status_name(edge.to) << " but the only legal source of "
+       << status_name(edge.to) << " is " << status_name(edge.from);
     violate(event, "Fig. 3 (trapped-worker status machine)", os.str());
   }
-  cur = to;
-  // The executing-side edges may only be flipped while the domain's (unique)
-  // launcher is inside LAUNCHBATCH.
-  if ((to == Status::Executing || to == Status::Done) &&
-      dom.active_launches <= 0) {
+  cur = edge.to;
+  // The edges the owner does not take may only be flipped while the
+  // domain's (unique) launcher is inside LAUNCHBATCH.
+  if (edge.by != Side::Owner && dom.active_launches <= 0) {
     std::ostringstream os;
     os << "worker " << event.worker << "'s status flipped to "
-       << status_name(static_cast<int>(to)) << " with no LAUNCHBATCH active";
+       << status_name(edge.to) << " with no LAUNCHBATCH active";
     violate(event, "Invariant 1 (one active batch)", os.str());
   }
 }
@@ -249,10 +236,10 @@ void InvariantAuditor::on_event(const rt::hooks::Event& event) {
     case P::kAnnouncePush: {
       DomainState& dom = domain_state(event.domain);
       worker_state(event.worker);  // ensure dom.status covers event.worker
-      if (dom.status[event.worker] != Status::Pending) {
+      if (dom.status[event.worker] != OpStatus::Pending) {
         std::ostringstream os;
         os << "worker " << event.worker << " announced a slot whose status is "
-           << status_name(static_cast<int>(dom.status[event.worker]))
+           << status_name(dom.status[event.worker])
            << " (only pending slots may be announced)";
         violate(event, "§11 (announce-list protocol)", os.str());
       }
@@ -314,17 +301,18 @@ void InvariantAuditor::on_event(const rt::hooks::Event& event) {
       break;
     }
 
+    // Batcher's status events, one per row it takes.
     case P::kStatusFreeToPending:
-      check_status_edge(event, Status::Free, Status::Pending);
+      check_status_edge(event, kEdges[kPublish]);
       break;
     case P::kStatusPendingToExecuting:
-      check_status_edge(event, Status::Pending, Status::Executing);
+      check_status_edge(event, kEdges[kTake]);
       break;
     case P::kStatusExecutingToDone:
-      check_status_edge(event, Status::Executing, Status::Done);
+      check_status_edge(event, kEdges[kComplete]);
       break;
     case P::kStatusDoneToFree:
-      check_status_edge(event, Status::Done, Status::Free);
+      check_status_edge(event, kEdges[kRelease]);
       break;
 
     // ExternalDomain ingress events: the subject is an external (non-worker)
@@ -398,7 +386,7 @@ std::string InvariantAuditor::state_dump() const {
     os << ", active launches=" << dom.active_launches << ", slots=[";
     for (std::size_t i = 0; i < dom.status.size(); ++i) {
       if (i != 0) os << " ";
-      os << status_name(static_cast<int>(dom.status[i]));
+      os << status_name(dom.status[i]);
     }
     os << "]\n";
   }

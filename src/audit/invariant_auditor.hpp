@@ -12,10 +12,10 @@
 //   Invariant 3  dag/deque separation — batch-context workers and trapped
 //                workers never touch core deques, and tasks are pushed from
 //                the dag context that matches their kind;
-//   Fig. 3       the trapped-worker status machine advances strictly
-//                free -> pending -> executing -> done -> free, with the
-//                pending/done edges owned by the trapped worker and the
-//                executing edges owned by the (unique) launcher;
+//   Fig. 3       the trapped-worker status machine advances only along
+//                the publish, take, complete and release rows of kEdges
+//                (batcher/announce.hpp), and the rows the owner does not
+//                take only inside the (unique) launcher's LAUNCHBATCH;
 //   §4           a free worker's steal attempts alternate strictly between
 //                core and batch deques;
 //   §11          the announce-list protocol (DESIGN.md §11): a worker only
@@ -36,6 +36,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "batcher/announce.hpp"
 #include "runtime/schedule_hooks.hpp"
 
 namespace batcher::audit {
@@ -72,9 +73,6 @@ class InvariantAuditor final : public rt::hooks::ScheduleObserver {
   std::string state_dump() const;
 
  private:
-  // Mirror of batcher::OpStatus, tracked per (domain, worker).
-  enum class Status : std::uint8_t { Free, Pending, Executing, Done };
-
   struct WorkerState {
     bool trapped = false;
     const void* trapped_domain = nullptr;
@@ -88,15 +86,14 @@ class InvariantAuditor final : public rt::hooks::ScheduleObserver {
     // kLaunchChained event may legally come from (the flag never reopened
     // between its exit and the chained launch).
     unsigned last_launcher;
-    std::vector<Status> status;  // per worker
+    std::vector<OpStatus> status;  // per worker
   };
 
   static constexpr std::size_t kMaxRecorded = 128;
 
   DomainState& domain_state(const void* domain);
   WorkerState& worker_state(unsigned worker);
-  void check_status_edge(const rt::hooks::Event& event, Status from,
-                         Status to);
+  void check_status_edge(const rt::hooks::Event& event, const EdgeRow& edge);
   void violate(const rt::hooks::Event& event, std::string invariant,
                std::string detail);
 

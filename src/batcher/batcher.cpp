@@ -56,9 +56,9 @@ void Batcher::batchify(OpRecordBase& op) {
   BATCHER_ASSERT(w->current_kind() == rt::TaskKind::Core,
                  "batch implementations must not invoke batchify themselves");
 
+  // A worker has at most one suspended data-structure node: the publish
+  // row's from-check (debug builds) finds its slot Free.
   Slot& slot = slots_[w->id()];
-  BATCHER_DASSERT(slot.status.load(std::memory_order_relaxed) == OpStatus::Free,
-                  "a worker has at most one suspended data-structure node");
   op.clear_error();  // records may be reused across operations
   hooks::emit({EventId::kOpSubmit, w->id(), rt::TaskKind::Core,
                w->current_kind(), this, 0, trace_id_});
@@ -78,13 +78,11 @@ void Batcher::batchify(OpRecordBase& op) {
     slot.done_path_tasks = 0;
     trace::ledger::strand_pause();
   }
-  // Emitted before the release store: a launcher can only observe (and report
-  // on) this slot after the store, so the observer sees free->pending first.
+  // Emitted before the store: a launcher can only observe (and report on)
+  // this slot after the push below, so the observer sees free->pending first.
   hooks::emit({EventId::kStatusFreeToPending, w->id(),
                rt::TaskKind::Core, w->current_kind(), this});
-  // A launcher learns of this store (and the op) through the announce push
-  // below.
-  slot.status.store(OpStatus::Pending, std::memory_order_release);
+  advance<kPublish>(slot);
 
   // Announce the slot (DESIGN.md §11) on the list the launcher claims
   // wholesale.  Emitted-before-push mirrors the status events: an observer
@@ -152,7 +150,7 @@ void Batcher::batchify(OpRecordBase& op) {
   hooks::emit({EventId::kStatusDoneToFree, w->id(),
                rt::TaskKind::Core, w->current_kind(), this});
   slot.op = nullptr;
-  slot.status.store(OpStatus::Free, std::memory_order_relaxed);
+  advance<kRelease>(slot);
   hooks::emit({EventId::kOpResume, w->id(), rt::TaskKind::Core,
                w->current_kind(), this, 0, trace_id_});
   // The slot is released either way; a failed op surfaces at its caller.
@@ -335,9 +333,6 @@ std::size_t Batcher::collect() {
   claimed_rest_ = s;
   std::size_t count = 0;
   while (s != nullptr) {
-    BATCHER_DASSERT(s->status.load(std::memory_order_relaxed) ==
-                        OpStatus::Pending,
-                    "announced slots are pending until this walk flips them");
     // The fault fires before the flip and before the slot leaves
     // claimed_rest_, so recovery sees it as claimed-but-uncollected.
     maybe_inject_collect_fault();
@@ -346,7 +341,7 @@ std::size_t Batcher::collect() {
     claimed_count_ = ++count;
     hooks::emit({EventId::kStatusPendingToExecuting, s->owner,
                  rt::TaskKind::Batch, rt::TaskKind::Batch, this});
-    s->status.store(OpStatus::Executing, std::memory_order_relaxed);
+    advance<kTake>(*s);
     s = s->announce_next;
     claimed_rest_ = s;
   }
@@ -368,9 +363,7 @@ std::size_t Batcher::complete(const std::exception_ptr& error) {
     }
     hooks::emit({EventId::kStatusExecutingToDone, s->owner,
                  rt::TaskKind::Batch, rt::TaskKind::Batch, this});
-    // Release publishes BOP results (and any recorded error) to the
-    // trapped owner's acquire load in batchify.
-    s->status.store(OpStatus::Done, std::memory_order_release);
+    advance<kComplete>(*s);
   }
   const std::size_t flipped = claimed_count_;
   claimed_count_ = 0;
@@ -378,36 +371,20 @@ std::size_t Batcher::complete(const std::exception_ptr& error) {
 }
 
 std::size_t Batcher::fail_claimed(const std::exception_ptr& error) {
-  // Already-collected slots are Executing: record the error and flip them
-  // to Done exactly like a clean completion would.
-  std::size_t flipped = complete(error);
   // A throw inside the claim walk leaves a claimed-but-uncollected tail:
   // those slots are still Pending but no longer on the announce stack, so
-  // no later batch could ever pick them up — fail them here, walking the
-  // legal Fig. 3 edges (pending -> executing -> done) so their trapped
-  // owners resume and rethrow.
-  const bool led = trace::enabled();
-  for (Slot* s = claimed_rest_; s != nullptr;) {
-    // Read the link before the Done store: once Done is published the owner
-    // may resume, re-announce, and overwrite announce_next.
-    Slot* next = s->announce_next;
-    s->op->set_error(error);
-    if (led) [[unlikely]] {
-      const trace::ledger::PathPoint path = trace::ledger::strand_now();
-      s->done_path_ns = path.ns;
-      s->done_path_tasks = path.tasks;
-    }
+  // no later batch could ever pick them up.  Take them (pending ->
+  // executing) behind the collected ones, so every link is read before a
+  // Done store lets its owner resume and re-announce; then complete the
+  // whole claim with the error so every trapped owner resumes and rethrows.
+  for (Slot* s = claimed_rest_; s != nullptr; s = s->announce_next) {
     hooks::emit({EventId::kStatusPendingToExecuting, s->owner,
                  rt::TaskKind::Batch, rt::TaskKind::Batch, this});
-    s->status.store(OpStatus::Executing, std::memory_order_relaxed);
-    hooks::emit({EventId::kStatusExecutingToDone, s->owner,
-                 rt::TaskKind::Batch, rt::TaskKind::Batch, this});
-    s->status.store(OpStatus::Done, std::memory_order_release);
-    ++flipped;
-    s = next;
+    advance<kTake>(*s);
+    claimed_[claimed_count_++] = s;
   }
   claimed_rest_ = nullptr;
-  return flipped;
+  return complete(error);
 }
 
 BatcherStats Batcher::stats() const {

@@ -19,7 +19,7 @@
 // launches as if nothing happened.
 //
 // Launch-path cost (DESIGN.md §11): batchify pushes its slot onto an
-// intrusive MPSC announce list alongside the Pending store, and LAUNCHBATCH
+// intrusive MPSC announce list after the publish edge, and LAUNCHBATCH
 // claims that list with a single exchange — so collect, complete and
 // recovery all cost O(batch), not the Fig. 4 Θ(P) slot scan (whose
 // Θ(lg P)-span setup the simulator models as `BatcherSimConfig::
@@ -137,20 +137,15 @@ class Batcher {
   void reset_stats();
 
  private:
-  struct alignas(kCacheLineSize) Slot {
-    std::atomic<OpStatus> status{OpStatus::Free};
-    OpRecordBase* op = nullptr;
+  struct alignas(kCacheLineSize) Slot : AnnounceSlot<Slot> {
     // This slot's worker id — the status hooks name the slot's owner, and
     // the claim walk has no slot index to derive it from.
     unsigned owner = 0;
-    // Intrusive announce-list link (batcher/announce.hpp).
-    Slot* announce_next = nullptr;
     // Bound-ledger path handoff (trace/bound_ledger.hpp).  The owner writes
-    // submit_path_* before its Pending release store (launcher reads after
-    // the acquire that observed Pending); the completion pass writes
-    // done_path_* before the Done release store (owner reads after the
-    // acquire that observed Done).  The LAUNCHBATCH dependency edges thus
-    // ride the existing status protocol with no extra synchronization.
+    // submit_path_* before its push and the completion pass writes
+    // done_path_* before its Done store, so the publish and complete rows of
+    // kEdges carry the LAUNCHBATCH dependency edges with no extra
+    // synchronization.
     std::uint64_t submit_path_ns = 0;
     std::uint64_t submit_path_tasks = 0;
     std::uint64_t done_path_ns = 0;
@@ -207,7 +202,8 @@ class Batcher {
   // Recovery: fails exactly the claimed list — the already-collected slots
   // (Executing) and, after a throw inside the claim walk, the claimed-but-
   // uncollected remainder (still Pending, but off the announce stack, so no
-  // later batch could ever pick them up).
+  // later batch could ever pick them up), which it takes first and then
+  // completes with the rest.
   std::size_t fail_claimed(const std::exception_ptr& error);
 
   rt::Scheduler& sched_;
@@ -222,7 +218,7 @@ class Batcher {
   alignas(kCacheLineSize) std::atomic<std::uint32_t> batch_flag_{0};
   std::atomic<std::int32_t> batches_running_{0};  // Invariant 1 check
 
-  // Owners push their slot with the Pending store; the launcher claims.
+  // Owners push their slot after the publish edge; the launcher claims.
   AnnounceList<Slot> announced_;
   // Launcher-private bookkeeping for the current launch (valid only under
   // the batch flag): the slots this launch flipped to Executing, and — while

@@ -4,8 +4,9 @@
 // while static pthreading operates over the main program."
 //
 // External (non-worker) threads publish operation records exactly as
-// workers do in Batcher::batchify: a Pending store and one push onto the
-// intrusive announce list (batcher/announce.hpp).  A *pump* task running
+// workers do in Batcher::batchify: the publish edge and one push onto the
+// intrusive announce list (batcher/announce.hpp, whose kEdges table holds
+// every status edge this file takes).  A *pump* task running
 // inside the scheduler claims that list, serves it oldest first in batches
 // of at most P records, and executes the structure's BOP as a batch dag —
 // so the batch itself is accelerated by work stealing even though the
@@ -19,8 +20,8 @@
 // bounds every blocked submit) this domain offers:
 //
 //  * Deadlines: `submit_until` / `try_submit` revoke a still-Pending record
-//    through the same owner-side Pending->Revoked CAS the shutdown path
-//    uses and throw OpTimedOut.  A record the pump has already claimed is
+//    through the same revoke edge the shutdown path takes and throw
+//    OpTimedOut.  A record the pump has already claimed is
 //    in a batch and will complete — the deadline bounds time-to-claim,
 //    never abandons an executing op (the record lives on the caller's
 //    stack).
@@ -319,9 +320,7 @@ class ExternalDomain {
         failed_batches_.fetch_add(1, std::memory_order_relaxed);
       }
       after_bop(s != nullptr);
-      for (Slot* slot : collected_) {
-        slot->status.store(OpStatus::Done, std::memory_order_release);
-      }
+      for (Slot* slot : collected_) advance<kComplete>(*slot);
       batches_.fetch_add(1, std::memory_order_relaxed);
       served = true;
     }
@@ -364,12 +363,11 @@ class ExternalDomain {
   // thread: every blocked submitter revokes its own record, so none waits
   // on the pump.
   //
-  // `fail_claimed` additionally flips Executing records to Done with the
-  // same error — the one walk over the slot array left.  That edge belongs
-  // to the pump, so it is legal only when the pump is known to be wedged
-  // forever (the record's true owner will never store Done) — a last
-  // resort mirroring Batcher's fail_claimed.  Call it from at most one
-  // thread.
+  // `fail_claimed` additionally takes the fail-wedged edge for every
+  // Executing record, with the same error — the one walk over the slot
+  // array left.  It races the pump's complete edge, so it is legal only
+  // when the pump is known to be wedged forever — a last resort mirroring
+  // Batcher's fail_claimed.  Call it from at most one thread.
   void quarantine(bool fail_claimed = false) {
     quarantined_.store(true, std::memory_order_release);
     stop_.store(true, std::memory_order_release);
@@ -377,11 +375,11 @@ class ExternalDomain {
     if (gate_ != nullptr) gate_->wake_all();
     if (!fail_claimed) return;
     for (Slot& slot : slots_) {
-      OpStatus expected = OpStatus::Executing;
-      if (slot.status.load(std::memory_order_acquire) != expected) continue;
+      if (slot.status.load(std::memory_order_acquire) != OpStatus::Executing) {
+        continue;
+      }
       slot.op->set_error(std::make_exception_ptr(DomainQuarantined()));
-      slot.status.compare_exchange_strong(expected, OpStatus::Done,
-                                          std::memory_order_acq_rel);
+      try_advance<kFailWedged>(slot);
     }
   }
 
@@ -437,13 +435,7 @@ class ExternalDomain {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct alignas(kCacheLineSize) Slot {
-    std::atomic<OpStatus> status{OpStatus::Free};
-    OpRecordBase* op = nullptr;
-    // Announce-list link: owned by the pump from the push until the pump
-    // claims or unlinks the slot.
-    Slot* announce_next = nullptr;
-  };
+  struct alignas(kCacheLineSize) Slot : AnnounceSlot<Slot> {};
 
   // Always checked, like `tid` in submit_impl.  Runs in the initializer list
   // so a throw precedes the trace-domain registration.
@@ -499,9 +491,8 @@ class ExternalDomain {
     std::uint32_t spins = 0;
     while (slot.status.load(std::memory_order_acquire) != OpStatus::Done) {
       // Shutdown bounds the wait: revoke the record if the pump has not
-      // claimed it.  The CAS races the pump's own Pending -> Executing CAS,
-      // so exactly one side wins; if the pump won, the op is in a batch and
-      // Done is coming.
+      // claimed it.  The revoke races the pump's claim, so exactly one side
+      // wins; if the pump won, the op is in a batch and Done is coming.
       if (stop_.load(std::memory_order_acquire)) {
         if (try_revoke(slot, tid)) {
           resolve(ops_failed_);
@@ -527,27 +518,21 @@ class ExternalDomain {
       backoff.pause();
     }
     slot.op = nullptr;
-    slot.status.store(OpStatus::Free, std::memory_order_relaxed);
+    advance<kRelease>(slot);
     resolve(op.failed() ? ops_failed_ : ops_succeeded_);
     op.rethrow_if_failed();
   }
 
-  // Free -> Pending pushes the slot, as Batcher::batchify does.  A Revoked
-  // slot is still linked, so it is re-armed in place and never linked
-  // twice.  The re-arm CAS and the pump's unlink CAS
-  // (claim_or_unlink) settle their race on the status byte: if the pump
-  // unlinked first, the slot is Free and gets pushed again.
+  // A Free slot is published and pushed, as Batcher::batchify does.  A
+  // Revoked slot is still linked, so it is re-armed in place and never
+  // linked twice; if the pump unlinked it first, the re-arm fails, the slot
+  // is Free and gets pushed again.
   void publish(Slot& slot) {
-    OpStatus seen = slot.status.load(std::memory_order_acquire);
-    if (seen == OpStatus::Revoked &&
-        slot.status.compare_exchange_strong(seen, OpStatus::Pending,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
+    if (slot.status.load(std::memory_order_acquire) == OpStatus::Revoked &&
+        try_advance<kReArm>(slot)) {
       return;
     }
-    BATCHER_DASSERT(seen == OpStatus::Free,
-                    "one in-flight op per external thread");
-    slot.status.store(OpStatus::Pending, std::memory_order_relaxed);
+    advance<kPublish>(slot);
     announced_.push(slot);
   }
 
@@ -556,31 +541,19 @@ class ExternalDomain {
   bool try_revoke(Slot& slot, std::size_t tid) {
     rt::hooks::emit({rt::hooks::EventId::kExternalRevoke, rt::hooks::kNoWorker,
                      rt::TaskKind::Batch, rt::TaskKind::Batch, this, tid});
-    OpStatus expected = OpStatus::Pending;
-    return slot.status.compare_exchange_strong(expected, OpStatus::Revoked,
-                                               std::memory_order_acq_rel);
+    return try_advance<kRevoke>(slot);
   }
 
-  // The pump's edge out of the list for one linked slot: Pending ->
-  // Executing (true, the slot joins the batch) or Revoked -> Free (false,
-  // unlinked).  Each failed CAS means the owner moved the slot between the
-  // two states, so try the other edge.  The unlink's release pairs with
-  // publish()'s acquire, so the link read before it precedes the owner's
-  // next push.
+  // The pump's edge out of the list for one linked slot: claim (true, the
+  // slot joins the batch) or unlink (false).  Each failed CAS means the owner
+  // moved the slot between Pending and Revoked, so try the other edge.
   bool claim_or_unlink(Slot& slot) {
     while (true) {
-      OpStatus seen = OpStatus::Pending;
-      if (slot.status.compare_exchange_strong(seen, OpStatus::Executing,
-                                              std::memory_order_acq_rel)) {
-        return true;
-      }
-      BATCHER_ASSERT(seen == OpStatus::Revoked,
+      if (try_advance<kClaim>(slot)) return true;
+      if (try_advance<kUnlink>(slot)) return false;
+      const OpStatus now = slot.status.load(std::memory_order_relaxed);
+      BATCHER_ASSERT(now == OpStatus::Pending || now == OpStatus::Revoked,
                      "a linked external slot is Pending or Revoked");
-      if (slot.status.compare_exchange_strong(seen, OpStatus::Free,
-                                              std::memory_order_release,
-                                              std::memory_order_relaxed)) {
-        return false;
-      }
     }
   }
 

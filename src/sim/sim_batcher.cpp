@@ -2,14 +2,13 @@
 
 #include <vector>
 
+#include "batcher/announce.hpp"
 #include "support/config.hpp"
 #include "support/rng.hpp"
 
 namespace batcher::sim {
 
 namespace {
-
-enum class WStatus : std::uint8_t { Free, Pending, Executing, Done };
 
 // A node reference tags which dag it lives in.
 struct Ref {
@@ -22,7 +21,7 @@ struct SimWorker {
   std::vector<NodeId> core_deque;   // back = bottom
   std::vector<NodeId> batch_deque;
   Ref assigned;
-  WStatus status = WStatus::Free;
+  OpStatus status = OpStatus::Free;
   NodeId trapped_node = kNoNode;  // the suspended core ds node
   std::uint64_t steal_tick = 0;
   std::int64_t wait_steps = 0;    // steps spent trapped with empty batch deque
@@ -115,9 +114,9 @@ SimResult simulate_batcher(const Dag& core, BatchCostModel& model,
     if (batch.active &&
         batch.executed == static_cast<std::int64_t>(batch.dag.size())) {
       for (unsigned m : batch.members) {
-        BATCHER_DASSERT(ws[m].status == WStatus::Executing,
+        BATCHER_DASSERT(ws[m].status == OpStatus::Executing,
                         "member must be executing");
-        ws[m].status = WStatus::Done;
+        ws[m].status = OpStatus::Done;
       }
       model.on_commit(static_cast<std::int64_t>(batch.members.size()));
       batch.active = false;
@@ -141,8 +140,8 @@ SimResult simulate_batcher(const Dag& core, BatchCostModel& model,
     for (unsigned off = 0; off < P; ++off) {
       const unsigned q = (start + off) % P;  // launcher's own op goes first
       if (static_cast<std::int64_t>(batch.members.size()) >= cap) break;
-      if (ws[q].status == WStatus::Pending) {
-        ws[q].status = WStatus::Executing;
+      if (ws[q].status == OpStatus::Pending) {
+        ws[q].status = OpStatus::Executing;
         batch.members.push_back(q);
       }
     }
@@ -197,7 +196,7 @@ SimResult simulate_batcher(const Dag& core, BatchCostModel& model,
     ++res.steal_attempts;
     if (batch.active && batch.counts_as_big) {
       ++res.big_batch_steals;
-    } else if (thief.status != WStatus::Free) {
+    } else if (thief.status != OpStatus::Free) {
       ++res.trapped_steals;
     } else {
       ++res.free_steals;
@@ -247,7 +246,7 @@ SimResult simulate_batcher(const Dag& core, BatchCostModel& model,
       SimWorker& w = ws[p];
 
       // Trapped workers: only batch work (Fig. 3).
-      if (w.status != WStatus::Free) {
+      if (w.status != OpStatus::Free) {
         ++res.trapped_steps;
         if (w.assigned.valid()) {
           BATCHER_DASSERT(w.assigned.batch, "trapped workers run batch nodes");
@@ -267,12 +266,12 @@ SimResult simulate_batcher(const Dag& core, BatchCostModel& model,
           finish_batch_if_done();
           continue;
         }
-        if (w.status == WStatus::Done) {
+        if (w.status == OpStatus::Done) {
           // Resume the suspended core node: it completes now.  Lemma 2: at
           // most two batches executed since the record was posted.
           const std::int64_t waited = batch_completions - w.completions_at_trap;
           if (waited > res.max_batches_waited) res.max_batches_waited = waited;
-          w.status = WStatus::Free;
+          w.status = OpStatus::Free;
           --pending_count;
           ++res.busy_core;
           complete_core_node(w, w.trapped_node);
@@ -306,7 +305,7 @@ SimResult simulate_batcher(const Dag& core, BatchCostModel& model,
         } else if (core.is_ds[w.assigned.id]) {
           // Data-structure node: the worker becomes trapped.  Registering the
           // op record consumes the step.
-          w.status = WStatus::Pending;
+          w.status = OpStatus::Pending;
           w.trapped_node = w.assigned.id;
           w.assigned = Ref{};
           ++pending_count;
@@ -333,7 +332,7 @@ SimResult simulate_batcher(const Dag& core, BatchCostModel& model,
         const NodeId v = w.core_deque.back();
         w.core_deque.pop_back();
         if (core.is_ds[v]) {
-          w.status = WStatus::Pending;
+          w.status = OpStatus::Pending;
           w.trapped_node = v;
           ++pending_count;
           w.completions_at_trap = batch_completions;

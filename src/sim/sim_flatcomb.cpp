@@ -2,14 +2,11 @@
 
 #include <vector>
 
+#include "batcher/announce.hpp"
 #include "support/config.hpp"
 #include "support/rng.hpp"
 
 namespace batcher::sim {
-
-namespace {
-enum class WStatus : std::uint8_t { Free, Pending, Executing, Done };
-}  // namespace
 
 SimResult simulate_flatcomb(const Dag& core, BatchCostModel& model,
                             unsigned workers, std::uint64_t seed) {
@@ -24,7 +21,7 @@ SimResult simulate_flatcomb(const Dag& core, BatchCostModel& model,
   struct Worker {
     std::vector<NodeId> deque;
     NodeId assigned = kNoNode;
-    WStatus status = WStatus::Free;
+    OpStatus status = OpStatus::Free;
     NodeId trapped_node = kNoNode;
   };
   std::vector<Worker> ws(P);
@@ -67,21 +64,21 @@ SimResult simulate_flatcomb(const Dag& core, BatchCostModel& model,
     for (unsigned p = 0; p < P; ++p) {
       Worker& w = ws[p];
 
-      if (w.status != WStatus::Free) {
+      if (w.status != OpStatus::Free) {
         ++res.trapped_steps;
         if (combining && combiner == p) {
           // Serve one sequential step of the combined batch.
           ++res.busy_batch;
           if (--remaining == 0) {
-            for (unsigned m : members) ws[m].status = WStatus::Done;
+            for (unsigned m : members) ws[m].status = OpStatus::Done;
             model.on_commit(static_cast<std::int64_t>(members.size()));
             combining = false;
             members.clear();
           }
           continue;
         }
-        if (w.status == WStatus::Done) {
-          w.status = WStatus::Free;
+        if (w.status == OpStatus::Done) {
+          w.status = OpStatus::Free;
           complete_core(w, w.trapped_node);
           w.trapped_node = kNoNode;
           continue;
@@ -93,8 +90,8 @@ SimResult simulate_flatcomb(const Dag& core, BatchCostModel& model,
           members.clear();
           std::int64_t k = 0;
           for (unsigned q = 0; q < P; ++q) {
-            if (ws[q].status == WStatus::Pending) {
-              ws[q].status = WStatus::Executing;
+            if (ws[q].status == OpStatus::Pending) {
+              ws[q].status = OpStatus::Executing;
               members.push_back(q);
               ++k;
             }
@@ -111,7 +108,7 @@ SimResult simulate_flatcomb(const Dag& core, BatchCostModel& model,
 
       if (w.assigned != kNoNode) {
         if (core.is_ds[w.assigned]) {
-          w.status = WStatus::Pending;
+          w.status = OpStatus::Pending;
           w.trapped_node = w.assigned;
           w.assigned = kNoNode;
         } else {
